@@ -1,15 +1,16 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-figure benchmarks.
 
-Every benchmark regenerates one of the paper's tables/figures, prints the
-rows/series, writes them under ``benchmarks/results/``, and asserts the
-paper's *shape* claims (who wins, saturation points, crossovers).  Run
-with::
+Every ``test_*.py`` here regenerates one of the paper's tables/figures,
+prints the rows/series, writes them under ``benchmarks/results/``, and
+asserts the paper's *shape* claims (who wins, saturation points,
+crossovers).  Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src pytest benchmarks --ignore=benchmarks/hthpc
+    PYTHONPATH=src pytest benchmarks --ignore=benchmarks/hthpc --benchmark-disable
 
-Wall-clock timing of each regeneration is captured by pytest-benchmark
-(``rounds=1`` for the heavy simulations; real-engine microbenchmarks use
-normal multi-round timing).
+The second form skips pytest-benchmark's timing and only checks the
+claims.  Engine performance is measured by the separate ``hthpc``
+benchmark: ``PYTHONPATH=src python -m benchmarks.hthpc.run``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo every regenerated table/figure into the terminal output.
 
     Benchmark prints are captured by pytest; this hook replays the saved
-    experiment reports so ``pytest benchmarks/ --benchmark-only | tee ...``
-    leaves a self-contained record of the paper-vs-measured rows.
+    experiment reports so ``pytest benchmarks --ignore=benchmarks/hthpc |
+    tee ...`` leaves a self-contained record of the paper-vs-measured rows.
     """
     if not os.path.isdir(RESULTS_DIR):
         return

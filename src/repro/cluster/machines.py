@@ -67,9 +67,10 @@ _GB = 1024 * _MB
 def fork_rate_from_curve(curve: "dict[str | int, float]") -> float:
     """Calibrate a node's fork-rate ceiling from a measured contention curve.
 
-    ``curve`` maps concurrent-spawner count K to the *aggregate* spawn
-    rate those K processes achieved (the ``fork_contention`` variant in
-    ``benchmarks/bench_dispatch.py`` produces exactly this).  The node's
+    ``curve`` maps concurrent-spawner count K (int or its string form,
+    as JSON stores it) to the *aggregate* spawn rate those K processes
+    achieved — the ``spawn_ceiling_curve`` of every workload in an
+    ``hthpc`` benchmark result file is exactly this.  The node's
     fork-bandwidth ceiling — what :attr:`NodeSpec.fork_rate` models as a
     :class:`~repro.sim.resources.RateStation` — is the curve's peak
     aggregate: the paper's ~6,400/s is the flat top of its Fig. 3 curve,
@@ -79,11 +80,10 @@ def fork_rate_from_curve(curve: "dict[str | int, float]") -> float:
 
     Usage::
 
-        contention = bench_fork_contention()["curve"]
+        result = json.load(open("benchmarks/hthpc/results/seed11.json"))
+        curve = result["workloads"]["true_spawn"]["spawn_ceiling_curve"]
         node = NodeSpec(name="dev", cores=os.cpu_count(),
-                        fork_rate=fork_rate_from_curve(
-                            {k: v["aggregate_jobs_per_s"]
-                             for k, v in contention.items()}))
+                        fork_rate=fork_rate_from_curve(curve))
     """
     if not curve:
         raise ValueError("empty fork-contention curve")

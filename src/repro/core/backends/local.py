@@ -11,10 +11,10 @@ Two spawn paths share the same semantics (``--spawn-path`` selects):
     pre-built once per run (:class:`~repro.core.backends.spawn.SpawnLauncher`),
     with every job's stdout/stderr multiplexed through one shared
     ``selectors`` loop (:class:`~repro.core.backends.reaper.PipeReaper`)
-    instead of a blocking per-job ``communicate()``.  This removes the
-    userspace share of per-job dispatch cost; what remains is the
-    kernel's own fork/exec ceiling (see DESIGN.md, "Dispatch overhead
-    anatomy").
+    instead of a blocking per-job ``communicate()``.  The ``hthpc``
+    benchmark measures what this layer costs over a bare spawn
+    (``spawn_layer_overhead_us``) and against the Popen path
+    (``popen_ratio``); see DESIGN.md, "Dispatch overhead anatomy".
 
 ``popen``
     The ``subprocess.Popen(start_new_session=True)`` path — the

@@ -3,10 +3,11 @@
 The paper's Fig. 3 shows the launch-rate ceiling is a *single-dispatcher*
 phenomenon: one GNU Parallel instance forks at ~470 jobs/s while N
 concurrent instances reach ~6,400/s node-wide before the kernel's own
-fork bandwidth saturates.  Our posix_spawn path already sits at ~85% of
-the per-process ceiling (BENCH_pr5: 831 vs 993 jobs/s on 1 vCPU), so the
-next order of magnitude has to come from *parallel dispatchers* — this
-module is that decomposition.
+fork bandwidth saturates.  One in-process dispatcher cannot use the
+node's other cores for fork/exec and pipe collection, so the next order
+of magnitude has to come from *parallel dispatchers* — this module is
+that decomposition.  The ``hthpc`` benchmark measures it: ``efficiency``
+on ``sharded_spawn`` against ``true_spawn``.
 
 Architecture (``--dispatchers N``)::
 
@@ -32,10 +33,10 @@ Control-plane framing (the amortization layer):
 
     Per-job pickled ``Connection.send``/``recv`` round-trips made sharded
     dispatch *lose* to a single in-process dispatcher on small machines
-    (BENCH_pr6: 651 vs 743 jobs/s on 1 vCPU) — every job paid ~6 wakeups
-    of pipe syscall + pickle cost.  The hot message kinds (spawn, result,
-    kill) therefore travel as length-prefixed ``struct``-packed *frames*
-    carrying up to ``batch`` records each.  Outbound spawns buffer in a
+    — every job paid ~6 wakeups of pipe syscall + pickle cost.  The hot
+    message kinds (spawn, result, kill) therefore travel as
+    length-prefixed ``struct``-packed *frames* carrying up to ``batch``
+    records each.  Outbound spawns buffer in a
     per-shard outbox whose flush is gated by the *pipe*, not a timer:
     the dispatching thread appends its record and immediately drains the
     outbox, but the swap happens only after the shard's send lock is

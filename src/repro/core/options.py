@@ -465,10 +465,12 @@ class Options:
     def effective_dispatchers(self) -> int:
         """Resolve ``--dispatchers`` to a shard count.
 
-        ``"auto"`` resolves to 1: the in-process posix_spawn path already
-        runs at ~85% of the per-dispatcher kernel ceiling, so sharding
-        only pays when the workload is launch-rate-bound — an explicit
-        choice, not a default tax on every short run.
+        ``"auto"`` resolves to 1: sharding adds worker processes and a
+        pipe round-trip per job, which only pays when the workload is
+        launch-rate-bound with spare cores (compare the ``hthpc``
+        benchmark's ``efficiency`` on ``true_spawn`` and
+        ``sharded_spawn``) — an explicit choice, not a default tax on
+        every short run.
         """
         if self.dispatchers == "auto":
             return 1

@@ -197,7 +197,7 @@ class CommandTemplate:
         token, so an unquoted render is one list comprehension over
         argument-free-as-possible callables and one C-level interpolation
         — no per-render token dispatch (the branch chain the per-token
-        ``op`` tests used to cost, measurable at bench_template scale).
+        ``op`` tests used to cost, measurable in ``render_us_per_job``).
         A template with no tokens at all renders to a cached constant.
         Argv mode precomputes which words are static so only token-bearing
         words are re-rendered per job.
