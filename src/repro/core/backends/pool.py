@@ -62,8 +62,7 @@ fails) is marked dead and every job in flight on it — the flushed frames
 re-dispatched to a surviving shard exactly once (``_pending`` is the
 single source of truth; late duplicate deliveries drop at ``_deliver``).
 With no survivors, pending jobs complete as ``lost`` and the backend
-falls back to its in-process Popen path — same ladder shape as the
-reaper-death fallback.
+re-runs them in-process.
 
 The pool deliberately does NOT own retries, ordering, or halt policy;
 those live in the scheduler.  It is a throughput device, not a scheduler.
@@ -81,6 +80,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
+
+from repro.core.backends.spawn import (
+    REAPER_GONE,
+    LiveReaper,
+    SpawnLauncher,
+    kill_group,
+    set_nice,
+    spawn_supported,
+    wait_inline,
+)
 
 __all__ = [
     "DispatcherPool",
@@ -221,8 +230,9 @@ _MAX_BATCH = 65535
 
 
 def pool_supported() -> bool:
-    """True where sharded dispatch can run (POSIX fork/pipe semantics)."""
-    return os.name == "posix"
+    """True where sharded dispatch can run: workers fork, and spawn only
+    through ``posix_spawn``."""
+    return spawn_supported()
 
 
 @dataclass
@@ -284,15 +294,7 @@ class _Shard:
 
     def send(self, msg: tuple) -> bool:
         """Post one pickled op to the worker; False (and mark dead) on failure."""
-        with self.send_lock:
-            if not self.alive:
-                return False
-            try:
-                self.conn.send(msg)
-                return True
-            except (OSError, ValueError, BrokenPipeError):
-                self.alive = False
-                return False
+        return self.send_bytes(pickle.dumps(msg))
 
     def send_bytes(self, frame: bytes) -> bool:
         """Write one packed frame; False (and mark dead) on failure."""
@@ -310,7 +312,7 @@ class _Shard:
 class _ResultBatcher:
     """Worker-side mirror of the parent outbox: coalesce result records.
 
-    ``add`` is called from reaper/collector threads.  Flushing is gated
+    ``add`` is called from the reaper and main threads.  Flushing is gated
     by the pipe rather than a timer: the caller appends its record and
     drains the buffer one frame per send, swapping records out only
     after the send lock is held — completions that land while another
@@ -350,9 +352,6 @@ class _ResultBatcher:
                 except (OSError, ValueError, BrokenPipeError):
                     return  # parent is gone; the recv EOF path will exit us
 
-    def close(self) -> None:
-        self.flush()
-
 
 # --------------------------------------------------------------------------
 # Worker process
@@ -362,7 +361,6 @@ def _worker_main(
     shard_index: int,
     shell: str,
     env: "dict[str, str] | None",
-    use_posix: bool,
     nice: "int | None",
     batch: int = 1,
 ) -> None:
@@ -373,9 +371,6 @@ def _worker_main(
     exits via ``os._exit`` so inherited buffers never double-flush.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns ^C policy
-    # Imports deferred to the child so a "spawn" start method also works.
-    from repro.core.backends.reaper import PipeReaper
-    from repro.core.backends.spawn import SpawnLauncher, spawn_supported
 
     send_lock = threading.Lock()
 
@@ -393,12 +388,8 @@ def _worker_main(
     #: wakeup) instead of one write each.
     defer_results = batch > 1
 
-    launcher = reaper = None
-    if use_posix and spawn_supported():
-        launcher = SpawnLauncher(shell, env=env)
-        reaper = PipeReaper(
-            on_batch_end=batcher.flush if defer_results else None
-        )
+    launcher = SpawnLauncher(shell, env=env)
+    reapers = LiveReaper(on_batch_end=batcher.flush if defer_results else None)
 
     #: Interned command template: (CommandTemplate, quote flag).  Set by
     #: the pickled ("intern", source, quote) op; spawn records flagged
@@ -412,19 +403,6 @@ def _worker_main(
     early_kills: set[int] = set()
     procs_lock = threading.Lock()
 
-    def apply_nice(pid: int) -> None:
-        if nice is not None and hasattr(os, "setpriority"):
-            try:
-                os.setpriority(os.PRIO_PGRP, pid, nice)
-            except OSError:
-                pass
-
-    def kill_group(pid: int) -> None:
-        try:
-            os.killpg(pid, signal.SIGTERM)
-        except (ProcessLookupError, PermissionError):
-            pass
-
     def finish(token: int, rc: int, out: bytes, err: bytes,
                start: float, end: float, spawn_dur: float, pid: int,
                defer: bool = False) -> None:
@@ -433,73 +411,6 @@ def _worker_main(
         batcher.add(pack_result_record(
             token, rc, out, err, start, end, spawn_dur, pid
         ), defer=defer)
-
-    def run_posix(token: int, command: str) -> None:
-        nonlocal launcher, reaper
-        start = time.time()
-        try:
-            pid, out_r, err_r = launcher.spawn(command)
-        except OSError as exc:
-            post(("err", token, f"spawn failed: {exc}".encode()))
-            return
-        spawn_dur = time.time() - start
-        apply_nice(pid)
-        with procs_lock:
-            procs[token] = pid
-            killed_early = token in early_kills
-            early_kills.discard(token)
-        if killed_early:
-            kill_group(pid)
-
-        def on_done(handle, _token=token, _start=start,
-                    _spawn_dur=spawn_dur, _pid=pid) -> None:
-            finish(_token, handle.returncode, bytes(handle.stdout_buf),
-                   bytes(handle.stderr_buf), _start, time.time(),
-                   _spawn_dur, _pid, defer=defer_results)
-
-        try:
-            reaper.register(pid, out_r, err_r, on_done=on_done)
-        except RuntimeError:
-            # Reaper died mid-run: collect inline, then degrade to popen.
-            os.close(out_r)
-            os.close(err_r)
-            _, status = os.waitpid(pid, 0)
-            finish(token, os.waitstatus_to_exitcode(status), b"",
-                   b"worker reaper shut down mid-run", start, time.time(),
-                   spawn_dur, pid)
-            reaper = None
-
-    def run_popen(token: int, command: str) -> None:
-        # Fallback leg: one collector thread per job, Popen in bytes mode.
-        import subprocess
-
-        def collect() -> None:
-            start = time.time()
-            try:
-                proc = subprocess.Popen(
-                    [shell, "-c", command],
-                    stdin=subprocess.DEVNULL,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    env=env,
-                    start_new_session=True,
-                )
-            except OSError as exc:
-                post(("err", token, f"spawn failed: {exc}".encode()))
-                return
-            spawn_dur = time.time() - start
-            apply_nice(proc.pid)
-            with procs_lock:
-                procs[token] = proc.pid
-                killed_early = token in early_kills
-                early_kills.discard(token)
-            if killed_early:
-                kill_group(proc.pid)
-            out, err = proc.communicate()
-            finish(token, proc.returncode, out, err, start, time.time(),
-                   spawn_dur, proc.pid)
-
-        threading.Thread(target=collect, daemon=True).start()
 
     def spawn(token: int, seq: int, slot: int,
               command: "str | None", args) -> None:
@@ -514,10 +425,34 @@ def _worker_main(
             except Exception as exc:
                 post(("err", token, f"render failed: {exc}".encode()))
                 return
-        if reaper is not None and reaper.alive:
-            run_posix(token, command)
-        else:
-            run_popen(token, command)
+        # The asynchronous twin of run_command's posix_spawn leg: the
+        # reaper's on_done posts the result, so no thread waits per job.
+        start = time.time()
+        try:
+            pid, out_r, err_r = launcher.spawn(command)
+        except OSError as exc:
+            post(("err", token, f"spawn failed: {exc}".encode()))
+            return
+        spawn_dur = time.time() - start
+        set_nice(pid, nice)
+        with procs_lock:
+            procs[token] = pid
+            killed_early = token in early_kills
+            early_kills.discard(token)
+        if killed_early:
+            kill_group(pid)
+
+        def on_done(handle, _token=token, _start=start,
+                    _spawn_dur=spawn_dur, _pid=pid) -> None:
+            finish(_token, handle.returncode, bytes(handle.stdout_buf),
+                   bytes(handle.stderr_buf), _start, time.time(),
+                   _spawn_dur, _pid, defer=defer_results)
+
+        try:
+            reapers.get().register(pid, out_r, err_r, on_done=on_done)
+        except RuntimeError:
+            finish(token, wait_inline(pid, out_r, err_r), b"", REAPER_GONE,
+                   start, time.time(), spawn_dur, pid)
 
     def kill_token(token: int) -> None:
         with procs_lock:
@@ -567,11 +502,9 @@ def _worker_main(
                 break
     finally:
         kill_all()
-        batcher.close()
-        if reaper is not None:
-            reaper.close()
-        if launcher is not None:
-            launcher.close()
+        batcher.flush()
+        reapers.close()
+        launcher.close()
         try:
             conn.close()
         except OSError:
@@ -602,7 +535,6 @@ class DispatcherPool:
         n: int,
         shell: str = "/bin/sh",
         env: "dict[str, str] | None" = None,
-        use_posix: bool = True,
         nice: "int | None" = None,
         on_event: "Callable[[str, int, int], None] | None" = None,
         batch: int = 1,
@@ -612,7 +544,6 @@ class DispatcherPool:
         self.n = n
         self.shell = shell
         self.env = env
-        self.use_posix = use_posix
         self.nice = nice
         #: Optional ``(event_name, shard_index, n)`` hook; the backend
         #: wires it to the tracer (``dispatcher_death`` instants with the
@@ -649,8 +580,8 @@ class DispatcherPool:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, k, self.shell, self.env,
-                      self.use_posix, self.nice, self.batch),
+                args=(child_conn, k, self.shell, self.env, self.nice,
+                      self.batch),
                 name=f"repro-dispatcher-{k}",
                 daemon=True,
             )

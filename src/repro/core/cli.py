@@ -66,18 +66,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="do not start jobs while 1-min load average exceeds this")
     p.add_argument("--memfree", type=int, default=None, metavar="BYTES",
                    help="do not start jobs while available memory is below this")
-    # Engine extensions (not GNU Parallel flags): dispatch-pool tunables.
-    p.add_argument("--pool-prestart", action="store_true", dest="pool_prestart",
-                   help="start all worker threads up front instead of "
-                        "growing the pool lazily")
-    p.add_argument("--joblog-flush-every", type=int, default=32, metavar="N",
-                   dest="joblog_flush_every",
-                   help="flush the joblog every N records (default 32; "
-                        "1 = every record)")
-    p.add_argument("--throttle-poll-max", type=float, default=0.25,
-                   metavar="SECS", dest="throttle_poll_max",
-                   help="cap for the exponential --load/--memfree poll "
-                        "interval (default 0.25s)")
     # Observability (engine extensions): structured run tracing/metrics.
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write a Chrome/Perfetto trace_event JSON trace of "
@@ -121,7 +109,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--spawn-path", default="auto", dest="spawn_path",
                    choices=("auto", "posix", "popen"),
                    help="local process-spawn path: auto (default; posix_spawn "
-                        "where supported), posix, or popen")
+                        "where supported), posix, or popen (popen runs one "
+                        "dispatcher)")
     # Engine extension: shard the local dispatch loop over N spawner
     # worker processes (lifts the single-dispatcher launch-rate ceiling).
     p.add_argument("--dispatchers", default="auto", dest="dispatchers",
@@ -286,9 +275,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             quote=ns.quote,
             max_args=ns.max_args,
             retry_delay=ns.retry_delay,
-            pool_prestart=ns.pool_prestart,
-            joblog_flush_every=ns.joblog_flush_every,
-            throttle_poll_max=ns.throttle_poll_max,
             trace=ns.trace,
             metrics=ns.metrics,
             metrics_interval=ns.metrics_interval,

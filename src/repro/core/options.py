@@ -231,7 +231,8 @@ class Options:
     #: Process-spawn path for the local backend (``--spawn-path``):
     #: ``"auto"`` (posix_spawn fast path when supported, Popen otherwise),
     #: ``"posix"`` (prefer posix_spawn; hard-unsupported combinations such
-    #: as ``--wd`` still fall back), ``"popen"`` (always Popen).
+    #: as ``--wd`` still fall back), ``"popen"`` (always Popen, and one
+    #: in-process dispatcher whatever ``--dispatchers`` says).
     spawn_path: str = "auto"
     #: Dispatcher shard count for the local backend (``--dispatchers``):
     #: ``"auto"`` (single in-process dispatcher — sharding is opt-in) or
@@ -287,17 +288,6 @@ class Options:
     #: Pack this many consecutive arguments into each job (``-n``); the
     #: packed values fill ``{1}``..``{n}`` (and ``{}`` space-joined).
     max_args: Optional[int] = None
-    #: Start all dispatch-pool worker threads up front instead of growing
-    #: the pool lazily with observed concurrency (engine extension, not a
-    #: GNU Parallel flag).  Helps very short latency-sensitive runs.
-    pool_prestart: bool = False
-    #: Flush the ``--joblog`` after this many records (engine extension).
-    #: 1 = flush every record (the old behaviour); a time-based flush
-    #: still bounds staleness between batches.
-    joblog_flush_every: int = 32
-    #: Cap on the exponential ``--load``/``--memfree`` poll backoff,
-    #: seconds (engine extension; the poll starts at 5 ms and doubles).
-    throttle_poll_max: float = 0.25
     #: Write a Chrome/Perfetto ``trace_event`` JSON trace of the run to
     #: this path (``--trace``; engine extension).  None = no trace.
     trace: Optional[str] = None
@@ -371,14 +361,6 @@ class Options:
             )
         if self.halt_grace < 0:
             raise OptionsError(f"halt_grace must be >= 0, got {self.halt_grace}")
-        if self.joblog_flush_every < 1:
-            raise OptionsError(
-                f"joblog_flush_every must be >= 1, got {self.joblog_flush_every}"
-            )
-        if self.throttle_poll_max <= 0:
-            raise OptionsError(
-                f"throttle_poll_max must be > 0, got {self.throttle_poll_max}"
-            )
         if self.metrics_interval <= 0:
             raise OptionsError(
                 f"--metrics-interval must be > 0, got {self.metrics_interval}"

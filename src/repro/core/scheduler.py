@@ -61,8 +61,9 @@ __all__ = ["run_scheduler"]
 _STOP = None
 
 #: Initial --load/--memfree poll interval; doubles up to
-#: ``Options.throttle_poll_max``.
+#: ``_THROTTLE_POLL_MAX``.
 _THROTTLE_POLL_INITIAL = 0.005
+_THROTTLE_POLL_MAX = 0.25
 
 try:
     import resource as _resource
@@ -170,8 +171,7 @@ class _WorkerPool:
     of the per-job thread create/start/join cost of the previous
     thread-per-job design remains.  The pool grows lazily with observed
     concurrency (slot-gating bounds in-flight jobs, so it can never
-    exceed ``capacity``) unless ``prestart`` asks for all workers up
-    front.  Threads are daemons: a worker wedged inside a backend cannot
+    exceed ``capacity``).  Threads are daemons: a worker wedged inside a backend cannot
     block interpreter exit after the bounded shutdown join.
     """
 
@@ -180,16 +180,12 @@ class _WorkerPool:
         capacity: int,
         run_one: Callable[[Job, int], JobResult],
         done_q: "queue.SimpleQueue",
-        prestart: bool = False,
     ):
         self.capacity = capacity
         self._run_one = run_one
         self._done_q = done_q
         self._dispatch_q: "queue.SimpleQueue" = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
-        if prestart:
-            while len(self._threads) < capacity:
-                self._spawn()
 
     @property
     def size(self) -> int:
@@ -326,7 +322,6 @@ def run_scheduler(
         joblog = JoblogWriter(
             options.joblog,
             append=options.resume,
-            flush_every=options.joblog_flush_every,
         )
 
     results_writer = ResultsWriter(options.results) if options.results else None
@@ -440,7 +435,7 @@ def run_scheduler(
             )
         return result
 
-    pool = _WorkerPool(jobs_cap, run_one, done_q, prestart=options.pool_prestart)
+    pool = _WorkerPool(jobs_cap, run_one, done_q)
     if tracer is not None:
         tracer.bind_gauges(
             queue_depth=lambda: pool.queue_depth,
@@ -584,7 +579,7 @@ def run_scheduler(
         """Stall dispatch while ``--load``/``--memfree`` say so.
 
         Polls with exponential backoff (capped at
-        ``options.throttle_poll_max``) instead of a fixed busy-wait; each
+        ``_THROTTLE_POLL_MAX``) instead of a fixed busy-wait; each
         wait blocks on the completion queue, so a finishing job — or the
         halt it triggers — wakes the loop immediately instead of sleeping
         out the full interval.
@@ -598,7 +593,7 @@ def run_scheduler(
             else:
                 return
             reap(timeout=delay)
-            delay = min(delay * 2.0, options.throttle_poll_max)
+            delay = min(delay * 2.0, _THROTTLE_POLL_MAX)
 
     pending: Optional[Job] = next_job()
 

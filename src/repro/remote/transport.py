@@ -45,17 +45,22 @@ from __future__ import annotations
 import locale
 import os
 import shutil
-import signal
-import subprocess
 import tempfile
 import threading
-import time
 import uuid
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.backends.reaper import PipeReaper
-from repro.core.backends.spawn import SpawnLauncher, spawn_supported, wrap_chdir
+from repro.core.backends.spawn import (
+    LiveReaper,
+    ProcessTable,
+    SpawnLauncher,
+    decode_output,
+    merged_env,
+    run_command,
+    spawn_supported,
+    wrap_chdir,
+)
 from repro.core.options import TMPDIR_WORKDIR
 from repro.errors import StagingError, TransportError
 from repro.remote.hosts import HostSpec
@@ -205,35 +210,39 @@ class LocalTransport(Transport):
         self._root = root
         self._own_root = root is None
         self._run_id = uuid.uuid4().hex[:8]
-        #: In-flight process pids (Popen path and channel spawn path both
-        #: register here so ``cancel_all`` covers everything).
-        self._procs: dict[int, object] = {}
+        #: In-flight jobs of this transport and all its channels, so
+        #: ``cancel_all`` covers everything.
+        self._table = ProcessTable()
         self._lock = threading.Lock()
-        self._cancelled = threading.Event()
         self._tmp_workdirs: list[str] = []
-        #: Shared pipe reaper serving every channel's spawn path; created
-        #: lazily, replaced if a previous run closed it.
-        self._reaper: Optional[PipeReaper] = None
+        #: Shared pipe reaper serving every channel's spawn path.
+        self._reapers = LiveReaper()
+        self._encoding = locale.getpreferredencoding(False)
 
     def open_channel(self, host: HostSpec) -> "Channel":
         """A persistent session: env merged once, posix_spawn + shared reaper."""
         return _LocalChannel(self, host)
 
-    def _reaper_for(self) -> PipeReaper:
-        with self._lock:
-            if self._reaper is None or self._reaper.closed or not self._reaper.alive:
-                self._reaper = PipeReaper()
-            return self._reaper
-
-    def _track(self, pid: int) -> bool:
-        """Register an in-flight pid; returns True when a cancel raced in."""
-        with self._lock:
-            self._procs[pid] = pid
-            return self._cancelled.is_set()
-
-    def _untrack(self, pid: int) -> None:
-        with self._lock:
-            self._procs.pop(pid, None)
+    def _run(self, host: HostSpec, command: str, **kwargs) -> ExecResult:
+        """:func:`run_command` mapped to the transport contract."""
+        if self._table.cancelled.is_set():
+            return ExecResult(exit_code=-1, stderr="cancelled", timed_out=False)
+        try:
+            done = run_command(
+                command, table=self._table, shell=self.shell,
+                encoding=self._encoding, **kwargs,
+            )
+        except OSError as exc:
+            raise TransportError(
+                f"spawn failed on {host.name!r}: {exc}", phase="execute"
+            ) from None
+        return ExecResult(
+            exit_code=done.returncode,
+            stdout=decode_output(done.stdout, self._encoding),
+            stderr=decode_output(done.stderr, self._encoding),
+            timed_out=done.timed_out,
+            duration=done.end - done.start,
+        )
 
     # -- roots and workdirs ------------------------------------------------
     def _ensure_root(self) -> str:
@@ -286,46 +295,9 @@ class LocalTransport(Transport):
         seq: int = 0,
         attempt: int = 1,
     ) -> ExecResult:
-        if self._cancelled.is_set():
-            return ExecResult(exit_code=-1, stderr="cancelled", timed_out=False)
-        run_env = None
-        if env:
-            run_env = dict(os.environ)
-            run_env.update(env)
-        start = time.time()
-        try:
-            proc = subprocess.Popen(
-                [self.shell, "-c", command],
-                stdin=subprocess.PIPE if stdin is not None else subprocess.DEVNULL,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                cwd=workdir,
-                env=run_env,
-                text=True,
-                start_new_session=(os.name == "posix"),
-            )
-        except OSError as exc:
-            raise TransportError(
-                f"spawn failed on {host.name!r}: {exc}", phase="execute"
-            ) from None
-        if self._track(proc.pid):
-            self._kill_group(proc.pid)
-        timed_out = False
-        try:
-            try:
-                stdout, stderr = proc.communicate(input=stdin, timeout=timeout)
-            except subprocess.TimeoutExpired:
-                self._kill_group(proc.pid)
-                stdout, stderr = proc.communicate()
-                timed_out = True
-        finally:
-            self._untrack(proc.pid)
-        return ExecResult(
-            exit_code=proc.returncode,
-            stdout=stdout,
-            stderr=stderr,
-            timed_out=timed_out,
-            duration=time.time() - start,
+        return self._run(
+            host, command, cwd=workdir, stdin=stdin, env=merged_env(env),
+            timeout=timeout,
         )
 
     # -- staging -----------------------------------------------------------
@@ -358,21 +330,7 @@ class LocalTransport(Transport):
 
     # -- lifecycle ---------------------------------------------------------
     def cancel_all(self) -> None:
-        self._cancelled.set()
-        with self._lock:
-            pids = list(self._procs)
-        for pid in pids:
-            self._kill_group(pid)
-
-    @staticmethod
-    def _kill_group(pid: int) -> None:
-        try:
-            if os.name == "posix":
-                os.killpg(pid, signal.SIGTERM)
-            else:  # pragma: no cover - non-posix fallback
-                os.kill(pid, signal.SIGTERM)
-        except (ProcessLookupError, PermissionError):
-            pass
+        self._table.kill_all()
 
     def close(self) -> None:
         self.cancel_all()
@@ -381,14 +339,12 @@ class LocalTransport(Transport):
             root, own = self._root, self._own_root
             if own:
                 self._root = None
-            reaper, self._reaper = self._reaper, None
-        if reaper is not None:
-            reaper.close()
+        self._reapers.close()
         for path in tmp_workdirs:
             shutil.rmtree(path, ignore_errors=True)
         if own and root is not None:
             shutil.rmtree(root, ignore_errors=True)
-        self._cancelled = threading.Event()
+        self._table = ProcessTable()
 
 
 class _LocalChannel(Channel):
@@ -398,9 +354,8 @@ class _LocalChannel(Channel):
     shared-reaper fast path (``cd`` is done by the spawned shell, since
     ``posix_spawn`` has no working-directory attribute).
 
-    Falls back to the transport's Popen path per call when the job needs
-    stdin (``--pipe``), the platform lacks posix_spawn support, or the
-    shared reaper has failed.
+    Delegates to the transport's Popen path per call when the job needs
+    stdin (``--pipe``) or the platform lacks posix_spawn support.
     """
 
     def __init__(self, transport: "LocalTransport", host: HostSpec):
@@ -409,17 +364,12 @@ class _LocalChannel(Channel):
         #: The ``env`` mapping the launcher's merged vector was built from
         #: (compared with ``is`` — it is per-run constant ``options.env``).
         self._env_src: Optional[dict[str, str]] = None
-        self._encoding = locale.getpreferredencoding(False)
 
     def _launcher_for(self, env: Optional[dict[str, str]]) -> SpawnLauncher:
         if self._launcher is None or env is not self._env_src:
             if self._launcher is not None:
                 self._launcher.close()
-            merged = None
-            if env:
-                merged = dict(os.environ)
-                merged.update(env)
-            self._launcher = SpawnLauncher(self.transport.shell, env=merged)
+            self._launcher = SpawnLauncher(self.transport.shell, env=merged_env(env))
             self._env_src = env
         return self._launcher
 
@@ -435,70 +385,22 @@ class _LocalChannel(Channel):
         seq: int = 0,
         attempt: int = 1,
     ) -> ExecResult:
-        transport = self.transport
         if stdin is not None or not spawn_supported():
             return super().execute(
                 host, command, workdir=workdir, stdin=stdin, env=env,
                 timeout=timeout, seq=seq, attempt=attempt,
             )
-        if transport._cancelled.is_set():
-            return ExecResult(exit_code=-1, stderr="cancelled", timed_out=False)
-        reaper = transport._reaper_for()
-        launcher = self._launcher_for(env)
-        start = time.time()
-        try:
-            pid, out_r, err_r = launcher.spawn(wrap_chdir(workdir, command))
-        except OSError as exc:
-            raise TransportError(
-                f"spawn failed on {self.host.name!r}: {exc}", phase="execute"
-            ) from None
-        try:
-            handle = reaper.register(pid, out_r, err_r, encoding=self._encoding)
-        except RuntimeError:
-            # The reaper closed under us; the process already started, so
-            # collect it inline rather than re-running its side effects.
-            os.close(out_r)
-            os.close(err_r)
-            _, status = os.waitpid(pid, 0)
-            return ExecResult(
-                exit_code=os.waitstatus_to_exitcode(status),
-                stderr="reaper shut down mid-run",
-                duration=time.time() - start,
-            )
-        if transport._track(pid):
-            transport._kill_group(pid)
-        timed_out = False
-        try:
-            if not handle.wait(timeout):
-                transport._kill_group(pid)
-                handle.wait()
-                timed_out = True
-        finally:
-            transport._untrack(pid)
-        stdout = _decode_universal(bytes(handle.stdout_buf), self._encoding)
-        stderr = _decode_universal(bytes(handle.stderr_buf), self._encoding)
-        return ExecResult(
-            exit_code=handle.returncode if handle.returncode is not None else -1,
-            stdout=stdout,
-            stderr=stderr,
-            timed_out=timed_out,
-            duration=time.time() - start,
+        transport = self.transport
+        return transport._run(
+            self.host, wrap_chdir(workdir, command),
+            launcher=self._launcher_for(env), reaper=transport._reapers.get(),
+            timeout=timeout,
         )
 
     def close(self) -> None:
         if self._launcher is not None:
             self._launcher.close()
             self._launcher = None
-            self._env_src = None
-
-
-def _decode_universal(data: bytes, encoding: str) -> str:
-    """Decode captured output with ``Popen(text=True)`` parity (strict
-    errors, universal newlines)."""
-    text = data.decode(encoding)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 class SimTransport(Transport):

@@ -6,6 +6,8 @@ import pytest
 
 from repro import Options, Parallel
 from repro.core.backends.local import LocalShellBackend
+from repro.core import scheduler
+from repro.core.job import Job
 from repro.core.scheduler import _MemAvailableProbe
 
 
@@ -62,6 +64,13 @@ def test_empty_env_inherits_without_copy():
     opts = Options(jobs=1)
     b.prepare_run(opts)
     assert b._env_for(opts) is None  # None = inherit, zero copying
+    # The posix_spawn leg gets one dict snapshot per run, never the live
+    # os.environ mapping (which CPython would re-encode on every spawn).
+    launcher_env = b._launcher.env
+    assert type(launcher_env) is dict
+    b.run_job(Job(1, ("x",), command="true"), 1, opts)
+    assert b._launcher.env is launcher_env
+    b.close()
 
 
 def test_env_composes_with_fault_wrapper():
@@ -97,15 +106,15 @@ def test_mem_probe_unreadable_path_never_throttles():
     probe.close()
 
 
-def test_memfree_throttle_uses_backoff_and_completes():
+def test_memfree_throttle_uses_backoff_and_completes(monkeypatch):
+    monkeypatch.setattr(scheduler, "_THROTTLE_POLL_MAX", 0.02)
     calls = [0]
 
     def probe():
         calls[0] += 1
         return 10 if calls[0] < 3 else 10**12
 
-    opts = Options(jobs=1, memfree=1024, memfree_probe=probe,
-                   throttle_poll_max=0.02)
+    opts = Options(jobs=1, memfree=1024, memfree_probe=probe)
     summary = Parallel("echo {}", options=opts).run(["a", "b"])
     assert summary.ok
     assert calls[0] >= 3

@@ -109,18 +109,6 @@ def test_worker_env_is_baked_in():
         pool.close()
 
 
-def test_popen_worker_leg_same_results():
-    pool = DispatcherPool(2, use_posix=False)
-    pool.start()
-    try:
-        reply = pool.run("echo out; echo err >&2; exit 5")
-        assert (reply.returncode, reply.stdout, reply.stderr) == (
-            5, b"out\n", b"err\n",
-        )
-    finally:
-        pool.close()
-
-
 def test_close_is_idempotent_and_final():
     pool = DispatcherPool(2)
     pool.start()

@@ -249,9 +249,10 @@ def test_dispatchers_resolution_matrix():
         backend.prepare_run(Options(dispatchers=2))
         assert backend.dispatchers == 2
         assert backend.spawn_path == "posix"
-        # popen inside the workers is still sharded dispatch.
+        # The workers only spawn through posix_spawn: popen means one
+        # in-process dispatcher.
         backend.prepare_run(Options(dispatchers=2, spawn_path="popen"))
-        assert backend.dispatchers == 2
+        assert backend.dispatchers == 1
         assert backend.spawn_path == "popen"
         # auto = one in-process dispatcher (sharding is opt-in)...
         backend.prepare_run(Options(dispatchers="auto"))

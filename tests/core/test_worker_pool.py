@@ -65,22 +65,6 @@ def test_no_per_job_thread_creation(monkeypatch):
     assert len(spawned) <= 4
 
 
-def test_prestart_spawns_full_pool(monkeypatch):
-    spawned = []
-    real_thread = threading.Thread
-
-    class CountingThread(real_thread):
-        def __init__(self, *args, **kwargs):
-            spawned.append(kwargs.get("name") or "")
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(threading, "Thread", CountingThread)
-    summary = Parallel(lambda x: None, jobs=4, pool_prestart=True).run(range(8))
-    assert summary.n_succeeded == 8
-    assert len([n for n in spawned if n.startswith("repro-worker")]) == 4
-    assert _pool_threads() == []
-
-
 def test_lazy_pool_grows_only_with_concurrency():
     """jobs=8 with a single-item input needs exactly one worker."""
     sizes = []
@@ -173,7 +157,9 @@ def test_worker_pool_shutdown_joins_idle_workers():
     import queue
 
     done = queue.SimpleQueue()
-    pool = _WorkerPool(3, lambda job, slot: None, done, prestart=True)
+    pool = _WorkerPool(3, lambda job, slot: None, done)
+    for _ in range(3):
+        pool._spawn()
     assert pool.size == 3
     wedged = pool.shutdown(deadline=time.monotonic() + 2.0)
     assert wedged == 0
