@@ -1,8 +1,8 @@
 """The one subprocess runner: spawn → collect → timeout → kill.
 
 Every layer that runs a shell command — the local backend, the shard
-workers, the remote transport and its channels — goes through this
-module; nothing else in the package calls ``subprocess.Popen``,
+workers, the remote transport — goes through this module; nothing else
+in the package calls ``subprocess.Popen``,
 ``os.posix_spawn``, ``os.killpg`` or ``os.setpriority``
 (``tests/test_spawn_sites.py`` enforces it).
 
@@ -89,11 +89,11 @@ def spawn_supported() -> bool:
 def wrap_chdir(workdir: str, command: str) -> str:
     """Prefix ``command`` so the shell enters ``workdir`` before running.
 
-    ``posix_spawn`` has no working-directory attribute; remote channels
-    (whose sandbox workdir is transport-managed) reproduce ``cwd=`` by
+    ``posix_spawn`` has no working-directory attribute; the remote
+    transport (whose sandbox workdir it manages) reproduces ``cwd=`` by
     making the already-spawned shell do the chdir.  Exit 255 on a missing
-    directory mirrors the transport-level connect failure a real ssh
-    channel would report.
+    directory mirrors the connect failure a real ssh session would
+    report.
     """
     return f"cd {shlex.quote(workdir)} || exit 255; {command}"
 
@@ -224,7 +224,7 @@ class LiveReaper:
 class SpawnLauncher:
     """Spawns ``shell -c command`` jobs with pre-built argv/env vectors.
 
-    One instance serves one run (or one remote channel): the argv prefix,
+    One instance serves one run (or one remote transport): the argv prefix,
     the environment and the shared ``/dev/null`` stdin fd are all
     computed once, so the per-job work is two ``pipe()`` calls and one
     ``posix_spawn``.  Thread-safe — worker threads spawn concurrently.

@@ -165,12 +165,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    dest="ban_after",
                    help="ban a host after N consecutive transport failures "
                         "(engine extension; default 3)")
-    p.add_argument("--staging-cache", choices=("on", "off"), default="on",
-                   dest="staging_cache",
-                   help="content-addressed staging dedup: never re-push a "
-                        "file already on a host this run, defer --cleanup "
-                        "to the last referencing job (engine extension; "
-                        "default on)")
     p.add_argument("--stage-ahead", type=int, default=0, metavar="N",
                    dest="stage_ahead",
                    help="prefetch stage-in for up to N queued jobs before "
@@ -285,7 +279,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cleanup=ns.cleanup,
             basefiles=ns.basefiles,
             ban_after=ns.ban_after,
-            staging_cache=(ns.staging_cache == "on"),
             stage_ahead=ns.stage_ahead,
         )
         if ns.fault_plan and options.remote:

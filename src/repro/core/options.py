@@ -320,11 +320,6 @@ class Options:
     #: Ban a host after this many *consecutive* transport failures; its
     #: in-flight jobs re-place onto surviving hosts (engine extension).
     ban_after: int = 3
-    #: Content-addressed staging dedup (``--staging-cache``): a file
-    #: already staged to a host this run is never re-pushed, and
-    #: ``--cleanup`` defers to the last referencing job.  On by default —
-    #: it only changes *costs*, never job-visible semantics.
-    staging_cache: bool = True
     #: Prefetch stage-in for up to N queued jobs ahead of slot
     #: availability (``--stage-ahead``); 0 = fully synchronous staging.
     stage_ahead: int = 0

@@ -293,16 +293,16 @@ def run_scheduler(
     if tracer is None and (options.trace or options.metrics):
         tracer = RunTracer.from_options(options)
 
-    # The tracer binds before prepare_run so per-run setup work the
-    # backend does there (e.g. opening persistent remote channels) is
-    # itself traced — channel_open spans land in the Chrome trace.
+    # The tracer binds before prepare_run so machinery the backend starts
+    # there (e.g. dispatcher shards, whose rpc_frame instants feed the
+    # Chrome trace) reports into it from the first job.
     if tracer is not None:
         bind_tracer = getattr(backend, "bind_tracer", None)
         if bind_tracer is not None:
             bind_tracer(tracer)
     # Per-run backend setup: merged environments, process pools, remote
-    # control channels — every per-job-invariant cost a backend can hoist
-    # off the hot path.
+    # host pools and staging policy — every per-job-invariant cost a
+    # backend can hoist off the hot path.
     prepare_run = getattr(backend, "prepare_run", None)
     if prepare_run is not None:
         prepare_run(options)

@@ -70,8 +70,8 @@ def load_trace(path: str) -> dict:
 
 def intervals_from_trace(path: str) -> "tuple[list[float], list[float]]":
     """(starts, ends) in seconds of every job-attempt ("X", cat ``job``)
-    event in a trace.  Backend overhead spans (spawn/reap/channel_open)
-    are complete events too, but carry cat ``backend`` — they are
+    event in a trace.  Backend overhead spans (spawn/reap) are complete
+    events too, but carry cat ``backend`` — they are
     instrumentation, not attempts, and must not skew the profile."""
     doc = load_trace(path)
     starts: list[float] = []

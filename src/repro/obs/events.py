@@ -24,7 +24,7 @@ class EventKind:
 
     plus ``INSTANT`` point events from backends (process spawned, process
     group killed, fault injected), ``SPAN`` duration events from backends
-    (spawn/reap/channel_open intervals, rendered as complete "X" slices
+    (spawn/reap/stage_in intervals, rendered as complete "X" slices
     in Chrome traces), ``METRICS`` gauge samples from the sampler, and
     ``RUN_META`` / ``RUN_END`` bracketing the run.
     """

@@ -299,7 +299,7 @@ class RunTracer:
         slot: int = 0,
         **data: object,
     ) -> None:
-        """Record a completed duration, e.g. ``spawn``/``reap``/``channel_open``.
+        """Record a completed duration, e.g. ``spawn``/``reap``/``stage_in``.
 
         Unlike lifecycle events (folded into job spans), these are
         backend-internal intervals: they pass straight through to sinks

@@ -7,9 +7,9 @@ Layers, bottom-up:
     thread-safe least-loaded :class:`HostPool` with per-host slots and
     ban-on-repeated-failure health tracking.
 :mod:`repro.remote.transport`
-    Pluggable command/file movement: real subprocesses with per-host
-    directory roots (:class:`LocalTransport`) or calibrated virtual time
-    (:class:`SimTransport`).
+    Pluggable command/file movement, one session per host: real
+    subprocesses with per-host directory roots (:class:`LocalTransport`)
+    or calibrated virtual time (:class:`SimTransport`).
 :mod:`repro.remote.cache`
     Per-run content-addressed :class:`StagingCache` (dedup'd staging,
     refcounted ``--cleanup``).
@@ -33,7 +33,6 @@ from repro.remote.hosts import (
 )
 from repro.remote.staging import StagingPolicy
 from repro.remote.transport import (
-    Channel,
     ExecResult,
     LocalTransport,
     SimTransport,
@@ -41,7 +40,6 @@ from repro.remote.transport import (
 )
 
 __all__ = [
-    "Channel",
     "RemoteBackend",
     "HostSpec",
     "HostLease",

@@ -53,7 +53,7 @@ from repro.core.template import CommandTemplate
 from repro.errors import StagingError, TransportError
 from repro.remote.hosts import HostLease, HostPool, HostSpec, hosts_from_options
 from repro.remote.staging import StagingPolicy
-from repro.remote.transport import Channel, Transport
+from repro.remote.transport import Transport
 
 __all__ = ["RemoteBackend"]
 
@@ -149,11 +149,6 @@ class RemoteBackend(Backend):
         self._workdirs: dict[str, str] = {}
         self._wd_lock = threading.Lock()
         self._cancelled = threading.Event()
-        #: One persistent control channel per host, opened at run start
-        #: (prepare_run) so per-job cost is message passing, not session
-        #: re-establishment.
-        self._channels: dict[str, Channel] = {}
-        self._chan_lock = threading.Lock()
         #: Off-critical-path staging lane (``--stage-ahead`` > 0).
         self._lane: Optional[_StagingLane] = None
         #: seq -> (host, staged relpaths) recorded by prefetch, so the
@@ -219,36 +214,6 @@ class RemoteBackend(Backend):
             self._lane = _StagingLane(
                 workers=min(_LANE_MAX_WORKERS, len(remote_hosts), stage_ahead)
             )
-        # Open every host's control channel up front: the connect cost
-        # lands here, once per host per run, instead of on the per-job
-        # path — the ssh ControlMaster pattern GNU Parallel leans on.
-        self._close_channels()
-        for host in self._hosts:
-            self._open_channel(host)
-
-    def _open_channel(self, host: HostSpec) -> Channel:
-        t0 = time.time()
-        channel = self.transport.open_channel(host)
-        if self._tracer is not None:
-            self._tracer.span("channel_open", t0, time.time(), host=host.name)
-        with self._chan_lock:
-            self._channels[host.name] = channel
-        return channel
-
-    def _channel_for(self, host: HostSpec) -> Channel:
-        # Direct run_job callers (tests, wrappers) may skip prepare_run;
-        # open the host's channel lazily on first use.
-        with self._chan_lock:
-            channel = self._channels.get(host.name)
-        if channel is not None:
-            return channel
-        return self._open_channel(host)
-
-    def _close_channels(self) -> None:
-        with self._chan_lock:
-            channels, self._channels = list(self._channels.values()), {}
-        for channel in channels:
-            channel.close()
 
     def _staging_for(self, options: Options) -> StagingPolicy:
         # Direct run_job callers (tests, wrappers) may skip prepare_run;
@@ -270,10 +235,8 @@ class RemoteBackend(Backend):
         )
 
     def staging_stats(self) -> dict:
-        """Data-plane counters for the run summary (empty = no staging)."""
+        """Data-plane counters for the run summary."""
         stats = self.staging.staging_stats()
-        if not stats and self._prefetched_jobs == 0:
-            return stats
         with self._prefetch_lock:
             stats["prefetched_jobs"] = self._prefetched_jobs
             stats["prefetch_errors"] = self._prefetch_errors
@@ -288,10 +251,9 @@ class RemoteBackend(Backend):
         self.pool.abort()
         if self._lane is not None:
             # Quiesce outstanding prefetch/cleanup before tearing down the
-            # channels they run on.
+            # transport they run on.
             self._lane.close()
             self._lane = None
-        self._close_channels()
         self.transport.close()
 
     # -- stage-ahead (called by the scheduler, ahead of dispatch) -------------
@@ -333,16 +295,14 @@ class RemoteBackend(Backend):
         t0 = time.time()
         try:
             workdir = self._workdir_for(host)
-            channel = self._channel_for(host)
-            staging.stage_basefiles(channel, host, workdir)
+            staging.stage_basefiles(self.transport, host, workdir)
             staged = staging.stage_in(
-                channel, host, job, slot=1, workdir=workdir,
+                self.transport, host, job, slot=1, workdir=workdir,
                 tracer=self._tracer,
             )
         except Exception as exc:
-            cache = staging.cache
-            if cache is not None and isinstance(exc, TransportError):
-                cache.invalidate_host(host.name)
+            if isinstance(exc, TransportError):
+                staging.invalidate_host(host.name)
             with self._prefetch_lock:
                 self._prefetch_errors += 1
                 self._prefetch_submitted.discard(job.seq)
@@ -377,8 +337,7 @@ class RemoteBackend(Backend):
     ) -> None:
         try:
             staging.release_prefetched(
-                self._channel_for(host), host, staged,
-                self._workdir_for(host),
+                self.transport, host, staged, self._workdir_for(host),
             )
         except Exception:
             pass  # best-effort: the run may be tearing down this host
@@ -443,8 +402,7 @@ class RemoteBackend(Backend):
                 # The host dropped mid-operation: nothing the cache
                 # believed about its filesystem can be trusted, and a
                 # re-placed job must not skip staging against stale state.
-                if staging.cache is not None:
-                    staging.cache.invalidate_host(lease.host.name)
+                staging.invalidate_host(lease.host.name)
                 if self._tracer is not None:
                     self._tracer.instant(
                         "transport_error", seq=job.seq, slot=slot,
@@ -479,9 +437,6 @@ class RemoteBackend(Backend):
         host = lease.host
         staging = self._staging_for(options)
         workdir = self._workdir_for(host)
-        # The host's persistent channel mirrors the transport signatures,
-        # so staging and execution below drive it unchanged.
-        channel = self._channel_for(host)
         command = job.command
         if self.template is not None:
             # The scheduler rendered with its global slot; the per-host
@@ -498,16 +453,17 @@ class RemoteBackend(Backend):
         staged: list[str] = []
         if stage:
             t0 = time.time()
-            staging.stage_basefiles(channel, host, workdir)
+            staging.stage_basefiles(self.transport, host, workdir)
             staged = staging.stage_in(
-                channel, host, job, lease.slot, workdir, tracer=self._tracer
+                self.transport, host, job, lease.slot, workdir,
+                tracer=self._tracer,
             )
             if self._tracer is not None:
                 self._tracer.span(
                     "stage_in", t0, time.time(), seq=job.seq, slot=slot,
                     host=host.name, cat="staging",
                 )
-        res = channel.execute(
+        res = self.transport.execute(
             host, command,
             workdir=workdir,
             stdin=job.stdin_data,
@@ -522,7 +478,7 @@ class RemoteBackend(Backend):
         job_ok = res.exit_code == 0 and not res.timed_out
         if stage:
             self._stage_out_and_cleanup(
-                channel, host, staging, job, lease.slot, slot, workdir, job_ok
+                host, staging, job, lease.slot, slot, workdir, job_ok
             )
         if res.timed_out:
             state = JobState.TIMED_OUT
@@ -549,7 +505,6 @@ class RemoteBackend(Backend):
 
     def _stage_out_and_cleanup(
         self,
-        channel: Channel,
         host: HostSpec,
         staging: StagingPolicy,
         job: Job,
@@ -567,6 +522,7 @@ class RemoteBackend(Backend):
         it moves off-path, as does ``--cleanup`` in both cases.
         """
         tracer = self._tracer
+        transport = self.transport
         staged = list(
             dict.fromkeys(
                 rel for _src, rel in staging.transfer_paths(job, lease_slot)
@@ -580,13 +536,13 @@ class RemoteBackend(Backend):
                 fetched = ()
                 try:
                     fetched = tuple(staging.stage_out(
-                        channel, host, job, lease_slot, workdir, job_ok=False
+                        transport, host, job, lease_slot, workdir, job_ok=False
                     ))
                 except Exception:
                     pass  # salvage of a failed job is best-effort
             try:
                 staging.cleanup_remote(
-                    channel, host, staged, workdir, fetched=fetched
+                    transport, host, staged, workdir, fetched=fetched
                 )
             except Exception:
                 pass  # cleanup is best-effort; the host may be gone
@@ -604,7 +560,7 @@ class RemoteBackend(Backend):
             t0 = time.time()
             try:
                 fetched = staging.stage_out(
-                    channel, host, job, lease_slot, workdir, job_ok=True
+                    transport, host, job, lease_slot, workdir, job_ok=True
                 )
             finally:
                 if tracer is not None and staging.returns:
@@ -618,7 +574,7 @@ class RemoteBackend(Backend):
                 else:
                     t1 = time.time()
                     staging.cleanup_remote(
-                        channel, host, staged, workdir, fetched=tuple(fetched)
+                        transport, host, staged, workdir, fetched=tuple(fetched)
                     )
                     if tracer is not None and staging.cleanup:
                         tracer.span(
@@ -633,7 +589,7 @@ class RemoteBackend(Backend):
                 t0 = time.time()
                 try:
                     fetched = staging.stage_out(
-                        channel, host, job, lease_slot, workdir, job_ok=False
+                        transport, host, job, lease_slot, workdir, job_ok=False
                     )
                 finally:
                     if tracer is not None and staging.returns:
@@ -642,7 +598,7 @@ class RemoteBackend(Backend):
                             slot=slot, host=host.name, cat="staging",
                         )
                     staging.cleanup_remote(
-                        channel, host, staged, workdir, fetched=tuple(fetched)
+                        transport, host, staged, workdir, fetched=tuple(fetched)
                     )
 
     def _workdir_for(self, host: HostSpec) -> str:

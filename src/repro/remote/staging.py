@@ -22,16 +22,15 @@ GNU Parallel semantics, executed over a :class:`~repro.remote.transport.Transpor
 The render uses the job's own (args, seq, slot) so ``--transferfile {}``
 or ``--return out/{#}.txt`` track each job exactly as its command does.
 
-With a :class:`~repro.remote.cache.StagingCache` attached (the default,
-``--staging-cache on``), transfers are content-addressed: a file already
-staged to a host is never pushed again this run, ``--basefile`` and
-``--transferfile`` dedup against each other, and ``--cleanup`` is
-refcounted — the remote copy is removed when the *last* referencing job
-finishes, not after each one.  Without the cache, ``--basefile``'s
-once-per-host guarantee is kept by per-host completion gates: a job that
-arrives while another job's basefile push is still in flight *waits for
-the push* instead of running against a half-staged file (the old
-mark-before-push set raced exactly that way).
+Every transfer goes through the run's
+:class:`~repro.remote.cache.StagingCache`, so transfers are
+content-addressed: a file already staged to a host is never pushed again
+this run, ``--basefile`` and ``--transferfile`` dedup against each other,
+and ``--cleanup`` is refcounted — the remote copy is removed when the
+*last* referencing job finishes, not after each one.  ``--basefile`` is
+additionally gated per host, so the cache is consulted once per host
+rather than once per job; a job that arrives while the push is still in
+flight *waits for it* instead of running against a half-staged file.
 
 The ``:`` localhost is exempt from all of this: GNU Parallel does no
 transfer/return/cleanup for the transport-free local machine (a "copy"
@@ -84,9 +83,8 @@ class StagingPolicy:
     cleanup: bool = False
     #: ``--workdir`` policy forwarded to ``Transport.ensure_workdir``.
     workdir: Optional[str] = None
-    #: Content-addressed dedup cache (``--staging-cache on``); None =
-    #: every job pays its own transfers (the pre-cache behaviour).
-    cache: Optional[StagingCache] = None
+    #: Content-addressed dedup cache every transfer goes through.
+    cache: StagingCache = field(default_factory=StagingCache)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -100,7 +98,6 @@ class StagingPolicy:
             basefiles=list(options.basefiles),
             cleanup=options.cleanup,
             workdir=options.workdir,
-            cache=StagingCache() if getattr(options, "staging_cache", True) else None,
         )
 
     @property
@@ -170,15 +167,12 @@ class StagingPolicy:
                 continue
             try:
                 for path in self.basefiles:
-                    rel = remote_relpath(path)
-                    if self.cache is not None:
-                        # permanent=True: basefiles are never cleaned
-                        # mid-run, whatever --cleanup says.
-                        self.cache.ensure(
-                            transport, host, path, rel, workdir, permanent=True
-                        )
-                    else:
-                        transport.put(host, path, rel, workdir)
+                    # permanent=True: basefiles are never cleaned mid-run,
+                    # whatever --cleanup says.
+                    self.cache.ensure(
+                        transport, host, path, remote_relpath(path), workdir,
+                        permanent=True,
+                    )
             except Exception:
                 with self._lock:
                     if self._base_gates.get(host.name) is gate:
@@ -195,21 +189,18 @@ class StagingPolicy:
     ) -> list[str]:
         """Push this job's inputs; returns remote relpaths (for cleanup).
 
-        With the cache attached each push is content-addressed: an input
-        already staged to this host is a hit (one reference retained, no
-        bytes moved) and emits a ``cache_hit`` instant on the tracer.
+        Each push is content-addressed: an input already staged to this
+        host is a hit (one reference retained, no bytes moved) and emits a
+        ``cache_hit`` instant on the tracer.
         """
         staged: list[str] = []
         for src, rel in self.transfer_paths(job, slot):
-            if self.cache is not None:
-                moved, hit = self.cache.ensure(transport, host, src, rel, workdir)
-                if hit and tracer is not None:
-                    tracer.instant(
-                        "cache_hit", seq=job.seq, slot=slot,
-                        host=host.name, file=rel, cat="staging",
-                    )
-            else:
-                transport.put(host, src, rel, workdir)
+            _moved, hit = self.cache.ensure(transport, host, src, rel, workdir)
+            if hit and tracer is not None:
+                tracer.instant(
+                    "cache_hit", seq=job.seq, slot=slot,
+                    host=host.name, file=rel, cat="staging",
+                )
             staged.append(rel)
         return staged
 
@@ -240,20 +231,15 @@ class StagingPolicy:
         """Remove staged files after the job (``--cleanup``); best-effort.
 
         ``relpaths`` are the job's staged inputs, ``fetched`` its returned
-        outputs.  Without a cache both are removed immediately (one
-        batched ``remove``).  With the cache, inputs are *released*: only
-        those whose last reference this was are physically removed — a
-        shared input outlives each individual job and is cleaned once,
-        after its final consumer.
+        outputs.  Inputs are *released*: only those whose last reference
+        this was are physically removed — a shared input outlives each
+        individual job and is cleaned once, after its final consumer.
         """
         if not self.cleanup:
             return 0
         # Dedup, preserving order (a path may be both transferred and returned).
         rels = list(dict.fromkeys(relpaths))
         extra = [r for r in dict.fromkeys(fetched) if r not in set(rels)]
-        if self.cache is None:
-            doomed = rels + extra
-            return transport.remove(host, doomed, workdir) if doomed else 0
         releasable = self.cache.release(host, rels)
         # Returned files are per-job outputs, never cache-managed: always
         # removed.  Staged inputs with no cache entry (host invalidated
@@ -276,7 +262,7 @@ class StagingPolicy:
         took when it staged ahead: without ``--cleanup`` the refcount drop
         is bookkeeping only; with it, a last-reference file is removed.
         """
-        if self.cache is None or not relpaths or not self.cleanup:
+        if not relpaths or not self.cleanup:
             # Without --cleanup references are never acted on, so the
             # release is skipped entirely: entries stay cached (and
             # dedupable) for the rest of the run.
@@ -289,6 +275,17 @@ class StagingPolicy:
         finally:
             self.cache.removal_done(host, releasable)
 
+    def invalidate_host(self, name: str) -> None:
+        """Forget everything staged to host ``name`` (its transport failed).
+
+        Drops the host's ``--basefile`` gate along with its cache entries:
+        nothing believed about a dropped host's filesystem survives, so
+        the next job placed there pushes its basefiles again.
+        """
+        with self._lock:
+            self._base_gates.pop(name, None)
+        self.cache.invalidate_host(name)
+
     def staging_stats(self) -> dict:
-        """Cache counter snapshot (empty when uncached)."""
-        return self.cache.stats() if self.cache is not None else {}
+        """Cache counter snapshot."""
+        return self.cache.stats()

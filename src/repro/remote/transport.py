@@ -26,18 +26,17 @@ Two implementations:
     jitter streams.  Lets placement/health logic and multi-host scaling
     studies run at memory speed.
 
-Persistent channels
--------------------
+The transport is the session
+----------------------------
 
-:meth:`Transport.open_channel` returns a :class:`Channel` — one
-long-lived control session per host, opened once per run by the remote
-backend.  A channel keeps every Transport method signature (including
-the ``host`` parameter), so staging code drives a channel and a bare
-transport interchangeably; what changes is the cost model: per-host
-session state (merged environment, spawn machinery, simulated connect
-latency) is paid at :meth:`~Transport.open_channel` instead of per job.
-The base :class:`Channel` simply delegates to its transport — wrapper
-transports (fault injection) inherit that and keep intercepting.
+A transport holds the per-host session state GNU Parallel gets from one
+ssh ControlMaster per host, and pays for it once instead of per job:
+:class:`LocalTransport` merges the environment into one
+:class:`~repro.core.backends.spawn.SpawnLauncher` and shares one reaper,
+and :class:`SimTransport` charges a host's connect latency at its first
+execute only.  The remote backend calls the transport directly, so a
+wrapper transport (fault injection) sits on exactly the path production
+takes.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from repro.sim.netmodel import NetModel
 from repro.storage.transfer import copy_file, plan_streams, remove_files
 
 __all__ = [
-    "Channel",
     "ExecResult",
     "Transport",
     "LocalTransport",
@@ -134,61 +132,6 @@ class Transport:
     def close(self) -> None:
         """Release transport resources (per-run tempdirs, process tables)."""
 
-    def open_channel(self, host: HostSpec) -> "Channel":
-        """Open one persistent control channel to ``host``.
-
-        Called once per host at run start by the remote backend; every
-        per-job operation then goes through the channel.  The default is
-        a transparent delegator — transports with amortizable per-host
-        session cost override this.
-        """
-        return Channel(self, host)
-
-
-class Channel:
-    """A persistent per-host control session on a :class:`Transport`.
-
-    Method signatures mirror the transport's (``host`` included) so
-    staging policies drive either without caring which they hold; the
-    bound ``host`` is authoritative — the parameter is accepted for
-    signature compatibility and ignored.  This base class delegates
-    verbatim (correct for wrapper transports such as fault injectors,
-    whose interception must stay on the path); subclasses amortize.
-    """
-
-    def __init__(self, transport: Transport, host: HostSpec):
-        self.transport = transport
-        self.host = host
-
-    def execute(
-        self,
-        host: HostSpec,
-        command: str,
-        *,
-        workdir: str,
-        stdin: Optional[str] = None,
-        env: Optional[dict[str, str]] = None,
-        timeout: Optional[float] = None,
-        seq: int = 0,
-        attempt: int = 1,
-    ) -> ExecResult:
-        return self.transport.execute(
-            self.host, command, workdir=workdir, stdin=stdin, env=env,
-            timeout=timeout, seq=seq, attempt=attempt,
-        )
-
-    def put(self, host: HostSpec, src: str, relpath: str, workdir: str) -> int:
-        return self.transport.put(self.host, src, relpath, workdir)
-
-    def get(self, host: HostSpec, relpath: str, dest: str, workdir: str) -> int:
-        return self.transport.get(self.host, relpath, dest, workdir)
-
-    def remove(self, host: HostSpec, relpaths: list[str], workdir: str) -> int:
-        return self.transport.remove(self.host, relpaths, workdir)
-
-    def close(self) -> None:
-        """Release channel-held session state (the transport stays open)."""
-
 
 def _host_dirname(host: HostSpec) -> str:
     """A filesystem-safe directory name for a host's fake root."""
@@ -210,39 +153,26 @@ class LocalTransport(Transport):
         self._root = root
         self._own_root = root is None
         self._run_id = uuid.uuid4().hex[:8]
-        #: In-flight jobs of this transport and all its channels, so
-        #: ``cancel_all`` covers everything.
+        #: In-flight jobs on every host, so ``cancel_all`` covers everything.
         self._table = ProcessTable()
         self._lock = threading.Lock()
         self._tmp_workdirs: list[str] = []
-        #: Shared pipe reaper serving every channel's spawn path.
+        #: Shared pipe reaper serving every host's spawn path.
         self._reapers = LiveReaper()
+        self._launcher: Optional[SpawnLauncher] = None
+        #: The ``env`` mapping the launcher's merged vector was built from
+        #: (compared with ``is`` — it is the per-run constant ``options.env``).
+        self._env_src: Optional[dict[str, str]] = None
         self._encoding = locale.getpreferredencoding(False)
 
-    def open_channel(self, host: HostSpec) -> "Channel":
-        """A persistent session: env merged once, posix_spawn + shared reaper."""
-        return _LocalChannel(self, host)
-
-    def _run(self, host: HostSpec, command: str, **kwargs) -> ExecResult:
-        """:func:`run_command` mapped to the transport contract."""
-        if self._table.cancelled.is_set():
-            return ExecResult(exit_code=-1, stderr="cancelled", timed_out=False)
-        try:
-            done = run_command(
-                command, table=self._table, shell=self.shell,
-                encoding=self._encoding, **kwargs,
-            )
-        except OSError as exc:
-            raise TransportError(
-                f"spawn failed on {host.name!r}: {exc}", phase="execute"
-            ) from None
-        return ExecResult(
-            exit_code=done.returncode,
-            stdout=decode_output(done.stdout, self._encoding),
-            stderr=decode_output(done.stderr, self._encoding),
-            timed_out=done.timed_out,
-            duration=done.end - done.start,
-        )
+    def _launcher_for(self, env: Optional[dict[str, str]]) -> SpawnLauncher:
+        with self._lock:
+            if self._launcher is None or env is not self._env_src:
+                if self._launcher is not None:
+                    self._launcher.close()
+                self._launcher = SpawnLauncher(self.shell, env=merged_env(env))
+                self._env_src = env
+            return self._launcher
 
     # -- roots and workdirs ------------------------------------------------
     def _ensure_root(self) -> str:
@@ -295,9 +225,30 @@ class LocalTransport(Transport):
         seq: int = 0,
         attempt: int = 1,
     ) -> ExecResult:
-        return self._run(
-            host, command, cwd=workdir, stdin=stdin, env=merged_env(env),
-            timeout=timeout,
+        if self._table.cancelled.is_set():
+            return ExecResult(exit_code=-1, stderr="cancelled")
+        if stdin is None and spawn_supported():
+            # posix_spawn has no working-directory attribute: the spawned
+            # shell does the cd.
+            command = wrap_chdir(workdir, command)
+            leg = dict(launcher=self._launcher_for(env), reaper=self._reapers.get())
+        else:
+            leg = dict(cwd=workdir, stdin=stdin, env=merged_env(env))
+        try:
+            done = run_command(
+                command, table=self._table, shell=self.shell,
+                encoding=self._encoding, timeout=timeout, **leg,
+            )
+        except OSError as exc:
+            raise TransportError(
+                f"spawn failed on {host.name!r}: {exc}", phase="execute"
+            ) from None
+        return ExecResult(
+            exit_code=done.returncode,
+            stdout=decode_output(done.stdout, self._encoding),
+            stderr=decode_output(done.stderr, self._encoding),
+            timed_out=done.timed_out,
+            duration=done.end - done.start,
         )
 
     # -- staging -----------------------------------------------------------
@@ -339,68 +290,15 @@ class LocalTransport(Transport):
             root, own = self._root, self._own_root
             if own:
                 self._root = None
+            launcher, self._launcher = self._launcher, None
+        if launcher is not None:
+            launcher.close()
         self._reapers.close()
         for path in tmp_workdirs:
             shutil.rmtree(path, ignore_errors=True)
         if own and root is not None:
             shutil.rmtree(root, ignore_errors=True)
         self._table = ProcessTable()
-
-
-class _LocalChannel(Channel):
-    """A persistent local "ssh session": the per-job costs a real control
-    master amortizes — environment assembly, connection/session setup —
-    are paid once here, and per-job execution takes the posix_spawn +
-    shared-reaper fast path (``cd`` is done by the spawned shell, since
-    ``posix_spawn`` has no working-directory attribute).
-
-    Delegates to the transport's Popen path per call when the job needs
-    stdin (``--pipe``) or the platform lacks posix_spawn support.
-    """
-
-    def __init__(self, transport: "LocalTransport", host: HostSpec):
-        super().__init__(transport, host)
-        self._launcher: Optional[SpawnLauncher] = None
-        #: The ``env`` mapping the launcher's merged vector was built from
-        #: (compared with ``is`` — it is per-run constant ``options.env``).
-        self._env_src: Optional[dict[str, str]] = None
-
-    def _launcher_for(self, env: Optional[dict[str, str]]) -> SpawnLauncher:
-        if self._launcher is None or env is not self._env_src:
-            if self._launcher is not None:
-                self._launcher.close()
-            self._launcher = SpawnLauncher(self.transport.shell, env=merged_env(env))
-            self._env_src = env
-        return self._launcher
-
-    def execute(
-        self,
-        host: HostSpec,
-        command: str,
-        *,
-        workdir: str,
-        stdin: Optional[str] = None,
-        env: Optional[dict[str, str]] = None,
-        timeout: Optional[float] = None,
-        seq: int = 0,
-        attempt: int = 1,
-    ) -> ExecResult:
-        if stdin is not None or not spawn_supported():
-            return super().execute(
-                host, command, workdir=workdir, stdin=stdin, env=env,
-                timeout=timeout, seq=seq, attempt=attempt,
-            )
-        transport = self.transport
-        return transport._run(
-            self.host, wrap_chdir(workdir, command),
-            launcher=self._launcher_for(env), reaper=transport._reapers.get(),
-            timeout=timeout,
-        )
-
-    def close(self) -> None:
-        if self._launcher is not None:
-            self._launcher.close()
-            self._launcher = None
 
 
 class SimTransport(Transport):
@@ -433,6 +331,8 @@ class SimTransport(Transport):
         self.files: dict[str, dict[str, bytes]] = {}
         #: Every execute, in call order: (host name, command, seq).
         self.exec_log: list[tuple[str, str, int]] = []
+        #: Hosts whose session is open (connect latency already charged).
+        self._connected: set[str] = set()
 
     def _advance(self, host: HostSpec, seconds: float) -> None:
         with self._lock:
@@ -469,7 +369,16 @@ class SimTransport(Transport):
         seq: int = 0,
         attempt: int = 1,
     ) -> ExecResult:
-        duration = self.model.exec_time(self.runtime_s, self._jitter_u(host))
+        # A long-lived control connection: the connect latency is charged
+        # once per host, at its first execute; each execute then costs only
+        # the job's (jittered) runtime.
+        with self._lock:
+            if host.name not in self._connected:
+                self._connected.add(host.name)
+                self.clocks[host.name] = (
+                    self.clocks.get(host.name, 0.0) + self.model.latency_s
+                )
+        duration = self.runtime_s * (1.0 + self.model.jitter * self._jitter_u(host))
         if timeout is not None and duration > timeout:
             self._advance(host, timeout)
             return ExecResult(
@@ -524,49 +433,3 @@ class SimTransport(Transport):
         # Removes are batched (one request per call, however many paths).
         self._advance(host, self.model.remove_time(len(relpaths)))
         return removed
-
-    def open_channel(self, host: HostSpec) -> "Channel":
-        """A persistent session: connect latency charged once, here."""
-        return _SimChannel(self, host)
-
-
-class _SimChannel(Channel):
-    """Persistent simulated session: the :class:`NetModel` connect latency
-    is charged to the host's clock once at open; each execute then costs
-    only the job's runtime (jittered) — the cost model a long-lived ssh
-    control connection produces, and the contrast the multi-host scaling
-    experiments measure against the per-job-connect transport path.
-    """
-
-    def __init__(self, transport: "SimTransport", host: HostSpec):
-        super().__init__(transport, host)
-        transport._advance(host, transport.model.latency_s)
-
-    def execute(
-        self,
-        host: HostSpec,
-        command: str,
-        *,
-        workdir: str,
-        stdin: Optional[str] = None,
-        env: Optional[dict[str, str]] = None,
-        timeout: Optional[float] = None,
-        seq: int = 0,
-        attempt: int = 1,
-    ) -> ExecResult:
-        transport = self.transport
-        u = transport._jitter_u(self.host)
-        duration = transport.runtime_s * (1.0 + transport.model.jitter * u)
-        if timeout is not None and duration > timeout:
-            transport._advance(self.host, timeout)
-            return ExecResult(
-                exit_code=-1, timed_out=True, duration=timeout,
-                stderr=f"simulated timeout after {timeout:.4g}s",
-            )
-        transport._advance(self.host, duration)
-        with transport._lock:
-            transport.exec_log.append((self.host.name, command, seq))
-        exit_code, stdout = (
-            transport.handler(self.host, command) if transport.handler else (0, "")
-        )
-        return ExecResult(exit_code=exit_code, stdout=stdout, duration=duration)

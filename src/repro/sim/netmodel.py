@@ -77,9 +77,3 @@ class NetModel:
         if nfiles <= 0:
             return 0.0
         return self.latency_s * (1.0 + self.jitter * u)
-
-    def exec_time(self, runtime_s: float, u: float = 0.0) -> float:
-        """Seconds for a remote command: connect latency + its runtime."""
-        if runtime_s < 0:
-            raise SimulationError(f"runtime_s must be >= 0, got {runtime_s}")
-        return (self.latency_s + runtime_s) * (1.0 + self.jitter * u)

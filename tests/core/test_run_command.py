@@ -1,6 +1,6 @@
 """``run_command``: the one subprocess runner, its legs and its helpers.
 
-Every caller (local backend, transport, channel) reaches a subprocess
+Every caller (local backend, remote transport) reaches a subprocess
 through ``run_command``; shard workers share its launcher, reaper rule
 and kill/nice helpers.  The legs must agree byte for byte, and the one
 dead-reaper rule — a fresh ``PipeReaper`` for the next job — is forced
@@ -156,20 +156,18 @@ def test_dead_reaper_local_backend(monkeypatch):
         assert (by_seq[seq].exit_code, by_seq[seq].stdout) == (0, f"out-{seq}\n")
 
 
-def test_dead_reaper_transport_channel(monkeypatch, tmp_path):
+def test_dead_reaper_transport(monkeypatch, tmp_path):
     _close_on_register(monkeypatch, 3)
     host = HostSpec("n1", 1)
     transport = LocalTransport(root=str(tmp_path / "hosts"))
-    channel = transport.open_channel(host)
     try:
         workdir = transport.ensure_workdir(host, None)
         results = {
-            i: channel.execute(host, QUIET_THIRD.replace("{}", str(i)),
-                               workdir=workdir)
+            i: transport.execute(host, QUIET_THIRD.replace("{}", str(i)),
+                                 workdir=workdir)
             for i in range(1, 7)
         }
     finally:
-        channel.close()
         transport.close()
     assert results[3].stderr == REAPER_GONE.decode()
     for i in (1, 2, 4, 5, 6):

@@ -92,6 +92,8 @@ def test_per_host_concurrency_never_exceeds_slots(hosts, n_jobs):
     summary, _, _ = run_remote(hosts, n_jobs, transport=transport)
     assert summary.ok
     slots = {h.name: h.slots for h in hosts}
+    executed = {host for host, _cmd, _seq in transport.exec_log}
+    assert executed and set(transport.peak) == executed
     for name, peak in transport.peak.items():
         assert peak <= slots[name]
 

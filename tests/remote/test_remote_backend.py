@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core.backends.spawn import SpawnLauncher, spawn_supported
 from repro.core.engine import Parallel
 from repro.core.job import Job, JobState
 from repro.core.joblog import read_joblog
@@ -138,6 +139,57 @@ class TestHealth:
         names = [e.name for e in events if e.name]
         assert "transport_error" in names and "host_banned" in names
         assert tracer.spans[1].attempts[0].host == "h2"
+
+
+class TestFaultWrapperPath:
+    """A fault-free FaultyTransport must drive exactly the path production
+    takes: chaos tests that wrap a transport test that transport."""
+
+    ROSTER = "2/h1,2/h2"
+
+    def run_sequential(self, transport, n_jobs=20):
+        be = make_backend(self.ROSTER, transport=transport)
+        opts = Options(jobs=2, sshlogin=[self.ROSTER])
+        be.prepare_run(opts)
+        try:
+            return [
+                be.run_job(
+                    Job(seq=seq, args=(str(seq),), command=f"echo {seq}",
+                        attempt=1),
+                    seq, opts,
+                )
+                for seq in range(1, n_jobs + 1)
+            ]
+        finally:
+            be.close()
+
+    def test_wrapped_sim_transport_costs_match_bare(self):
+        bare, inner = SimTransport(), SimTransport()
+        self.run_sequential(bare)
+        self.run_sequential(FaultyTransport(inner))
+        hosts = parse_sshlogin(self.ROSTER)
+        assert [inner.elapsed(h) for h in hosts] == [bare.elapsed(h) for h in hosts]
+        assert [h for h, _, _ in inner.exec_log] == [h for h, _, _ in bare.exec_log]
+        assert {h for h, _, _ in bare.exec_log} == {"h1", "h2"}
+
+    @pytest.mark.skipif(not spawn_supported(), reason="posix_spawn unavailable")
+    def test_wrapped_local_transport_takes_posix_spawn(self, monkeypatch, tmp_path):
+        calls = []
+        real = SpawnLauncher.spawn
+
+        def counting_spawn(self, command):
+            calls.append(command)
+            return real(self, command)
+
+        monkeypatch.setattr(SpawnLauncher, "spawn", counting_spawn)
+        for name, transport in (
+            ("bare", LocalTransport(root=str(tmp_path / "bare"))),
+            ("wrapped", FaultyTransport(LocalTransport(root=str(tmp_path / "wrapped")))),
+        ):
+            calls.clear()
+            results = self.run_sequential(transport, n_jobs=6)
+            assert all(r.ok for r in results), name
+            assert len(calls) == 6, name
 
 
 class TestLocalhostStagingSkip:

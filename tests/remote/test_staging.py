@@ -99,11 +99,12 @@ class TestStagingPolicy:
         assert fetched == ["out/a.txt"]
         assert (tmp_path / "out" / "a.txt").read_bytes() == b"done\n"
 
-    def test_cleanup_removes_deduped(self):
+    def test_cleanup_removes_deduped(self, tmp_path):
         pol = StagingPolicy(cleanup=True)
         st = SimTransport()
-        st.provide(H1, "a", b"1")
-        st.provide(H1, "b", b"2")
+        for rel, content in (("a", b"1"), ("b", b"2")):
+            (tmp_path / rel).write_bytes(content)
+            pol.cache.ensure(st, H1, str(tmp_path / rel), rel, "w")
         assert pol.cleanup_remote(st, H1, ["a", "b", "a"], "w") == 2
 
     def test_cleanup_noop_unless_enabled(self):
@@ -137,18 +138,15 @@ class TestStagingPolicy:
         pol.stage_basefiles(st, H1, "w")  # the retry succeeds
         assert st.files["h1"]["missing.bin"] == b"late"
 
-    @pytest.mark.parametrize("cached", [True, False])
     def test_basefile_concurrent_waits_for_inflight_push(
-        self, tmp_path, monkeypatch, cached
+        self, tmp_path, monkeypatch
     ):
         """Regression: the old mark-before-push set let a second job skip
         staging and run while the basefile was still in flight.  A
         concurrent call must *block until the push has finished*."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "model.bin").write_bytes(b"weights")
-        pol = StagingPolicy.from_options(self.opts(
-            basefiles=["model.bin"], staging_cache=cached,
-        ))
+        pol = StagingPolicy.from_options(self.opts(basefiles=["model.bin"]))
         put_started = threading.Event()
         release_put = threading.Event()
 
@@ -186,6 +184,21 @@ class TestStagingPolicy:
         assert st.elapsed(H1) == pytest.approx(
             st.model.transfer_time(len(b"weights"))
         )
+
+    def test_basefiles_restaged_after_host_invalidation(
+        self, tmp_path, monkeypatch
+    ):
+        """A dropped host keeps nothing: neither its cache entries nor its
+        basefile gate survive, so the next stage pushes again."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.bin").write_bytes(b"weights")
+        pol = StagingPolicy.from_options(self.opts(basefiles=["model.bin"]))
+        st = SimTransport()
+        pol.stage_basefiles(st, H1, "w")
+        st.files["h1"].clear()  # the host lost its filesystem
+        pol.invalidate_host("h1")
+        pol.stage_basefiles(st, H1, "w")
+        assert st.files["h1"]["model.bin"] == b"weights"
 
     def test_basefile_dedups_against_transferfile(self, tmp_path, monkeypatch):
         # With the cache, a --transferfile resolving to the same remote

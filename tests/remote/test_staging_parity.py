@@ -1,11 +1,11 @@
 """Staging parity: cache and overlap must never change job-visible output.
 
 The content-addressed cache and the ``--stage-ahead`` lane are pure
-*cost* optimizations — every run here asserts byte-for-byte identical
-stdout, identical joblog accounting (seqs, exit codes), and identical
-returned files against the synchronous uncached baseline.  The chaos leg
-kills a host mid-run (prefetches in flight) and requires the same
-guarantee to survive re-placement and cache invalidation.
+*cost* optimizations — every run here asserts byte-for-byte the stdout,
+joblog accounting (seqs, exit codes) and returned files that the inputs
+alone determine.  The chaos leg kills a host mid-run (prefetches in
+flight) and requires the same guarantee to survive re-placement and
+cache invalidation.
 """
 
 import os
@@ -17,22 +17,20 @@ from repro.core.joblog import read_joblog
 from repro.faults import FaultyTransport
 from repro.remote import LocalTransport
 
-# One slot per host: the *uncached* baseline removes a job's staged
-# files right after it, so two concurrent jobs on one host would race on
-# the shared input (stage/cleanup interleaving) — the exact hazard the
-# refcounted cache removes.  Parity must compare against a baseline that
-# is itself deterministic, so same-host concurrency stays at 1.
+# One slot per host: each host runs its jobs one after another, so the
+# cache counters asserted below do not depend on same-host interleaving.
 FOUR_HOSTS = "1/n1,1/n2,1/n3,1/n4"
 COMMAND = (
     "mkdir -p out && cat in/shared.txt in/{}.txt > out/{}.txt "
     "&& cat out/{}.txt"
 )
 INPUTS = [f"f{i:02d}" for i in range(10)]
+SHARED = "SHARED PAYLOAD\n" * 64
 
 
 def populate(root):
     (root / "in").mkdir()
-    (root / "in" / "shared.txt").write_text("SHARED PAYLOAD\n" * 64)
+    (root / "in" / "shared.txt").write_text(SHARED)
     for name in INPUTS:
         (root / "in" / f"{name}.txt").write_text(f"payload of {name}\n")
 
@@ -81,19 +79,27 @@ def observable(root, summary):
 
 
 @pytest.fixture
-def baseline(tmp_path):
-    root = tmp_path / "baseline"
-    root.mkdir()
-    summary = run_variant(root, staging_cache=False, stage_ahead=0)
-    assert summary.ok
-    return observable(root, summary)
+def baseline():
+    """The observables every variant must show, computed from the inputs."""
+    seqs = range(1, len(INPUTS) + 1)
+    expected = {
+        seq: SHARED + f"payload of {name}\n" for seq, name in zip(seqs, INPUTS)
+    }
+    return {
+        "stdout": expected,
+        "exits": {seq: 0 for seq in seqs},
+        "returned": {
+            name: expected[seq].encode() for seq, name in zip(seqs, INPUTS)
+        },
+        "joblog": {seq: 0 for seq in seqs},
+    }
 
 
 class TestParity:
     def test_cached_matches_uncached(self, tmp_path, baseline):
         root = tmp_path / "cached"
         root.mkdir()
-        summary = run_variant(root, staging_cache=True, stage_ahead=0)
+        summary = run_variant(root, stage_ahead=0)
         assert summary.ok
         assert observable(root, summary) == baseline
         assert summary.staging["files_staged"] > 0
@@ -111,7 +117,7 @@ class TestParity:
         root = tmp_path / "nocleanup"
         root.mkdir()
         summary = run_variant(
-            root, staging_cache=True, stage_ahead=0, cleanup=False,
+            root, stage_ahead=0, cleanup=False,
         )
         assert summary.ok
         assert observable(root, summary) == baseline
@@ -122,17 +128,10 @@ class TestParity:
     def test_stage_ahead_matches_synchronous(self, tmp_path, baseline, ahead):
         root = tmp_path / f"ahead{ahead}"
         root.mkdir()
-        summary = run_variant(root, staging_cache=True, stage_ahead=ahead)
+        summary = run_variant(root, stage_ahead=ahead)
         assert summary.ok
         assert observable(root, summary) == baseline
         assert summary.staging.get("prefetched_jobs", 0) > 0
-
-    def test_uncached_summary_has_no_staging_block(self, tmp_path):
-        root = tmp_path / "uncached"
-        root.mkdir()
-        summary = run_variant(root, staging_cache=False, stage_ahead=0)
-        assert summary.ok
-        assert summary.staging == {}
 
 
 class TestChaosLeg:
@@ -148,7 +147,7 @@ class TestChaosLeg:
         transport = FaultyTransport(LocalTransport(), host_down_after={"n1": 2})
         summary = run_variant(
             root, transport=transport,
-            staging_cache=True, stage_ahead=4, ban_after=2,
+            stage_ahead=4, ban_after=2,
         )
         assert summary.ok
         assert observable(root, summary) == baseline
@@ -166,7 +165,7 @@ class TestChaosLeg:
         )
         summary = run_variant(
             root, transport=transport,
-            staging_cache=True, stage_ahead=4, ban_after=1,
+            stage_ahead=4, ban_after=1,
         )
         assert summary.ok
         assert observable(root, summary) == baseline
@@ -191,8 +190,7 @@ class TestTraceSurface:
         root.mkdir()
         trace_path = root / "trace.json"
         summary = run_variant(
-            root, staging_cache=True, stage_ahead=0, cleanup=False,
-            trace=str(trace_path),
+            root, stage_ahead=0, cleanup=False, trace=str(trace_path),
         )
         assert summary.ok
         doc, cats = trace_cats(trace_path)
@@ -207,7 +205,7 @@ class TestTraceSurface:
         root.mkdir()
         trace_path = root / "trace.json"
         summary = run_variant(
-            root, staging_cache=True, stage_ahead=0, trace=str(trace_path),
+            root, stage_ahead=0, trace=str(trace_path),
         )
         assert summary.ok
         _doc, cats = trace_cats(trace_path)

@@ -1,6 +1,8 @@
 """LocalTransport (real subprocesses) and SimTransport (virtual time)."""
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -126,6 +128,30 @@ class TestSimTransport:
         assert res.exit_code == 0
         assert st.elapsed(N1) == pytest.approx(2.5)
         assert st.elapsed(N2) == 0.0
+        # The session is open: a second execute costs only the runtime.
+        st.execute(N1, "again", workdir=wd)
+        assert st.elapsed(N1) == pytest.approx(4.5)
+
+    def test_latency_charged_once_per_host_under_concurrency(self):
+        st = SimTransport(NetModel(latency_s=1.0), runtime_s=0.0)
+
+        def burst():
+            for _ in range(50):
+                st.execute(N1, "c", workdir="w")
+
+        threads = [threading.Thread(target=burst) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(st.exec_log) == 400
+        assert st.elapsed(N1) == pytest.approx(1.0)
 
     def test_handler_scripts_outcomes(self):
         st = SimTransport(handler=lambda h, cmd: (3, f"{h.name}:{cmd}"))
