@@ -7,12 +7,17 @@ working-directory and niceness support, and kill-on-halt.
 Running a job is :func:`~repro.core.backends.spawn.run_command`, which
 picks its leg (``posix_spawn`` + shared pipe reaper, or ``Popen``) from
 its inputs; this backend decides those inputs once per run and maps the
-outcome to a :class:`~repro.core.job.JobResult`.  ``--spawn-path popen``,
-``--wd``, ``--pipe`` and a platform without ``posix_spawn`` build no
-launcher, so the run takes the Popen leg.  The ``hthpc`` benchmark
-measures what the posix leg costs over a bare spawn
-(``spawn_layer_overhead_us``) and against the Popen leg (``popen_ratio``);
-see DESIGN.md, "Dispatch overhead anatomy".
+outcome to a :class:`~repro.core.job.JobResult`.  In-process jobs take
+the Popen leg by default: ``os.posix_spawn`` holds the GIL through
+vfork→exec, so the ``-j`` slot threads would queue behind each other's
+spawns, while Popen lets them overlap.  A launcher (the posix leg) is
+built only for ``--linebuffer``, which needs the reaper's line stream,
+and for an explicit ``--spawn-path posix``; ``--wd``, ``--pipe`` and a
+platform without ``posix_spawn`` never build one.  The ``hthpc``
+benchmark measures what the posix leg costs over a bare spawn
+(``spawn_layer_overhead_us``) and against the Popen leg
+(``run_job_us_posix``/``run_job_us_popen``); see DESIGN.md, "Dispatch
+overhead anatomy".
 
 ``--dispatchers N`` (N > 1) lifts dispatch onto the sharded
 :class:`~repro.core.backends.pool.DispatcherPool`: N worker processes
@@ -23,7 +28,7 @@ this process, so sharded output is byte-identical to ``--dispatchers 1``.
 Combinations the workers do not cover (``--wd``, ``--pipe``,
 ``--linebuffer``, ``--spawn-path popen``, no ``posix_spawn``) resolve to
 a single in-process dispatcher, and a pool whose every shard has died
-hands its jobs back to the in-process runner.
+hands its jobs back to the in-process leg.
 """
 
 from __future__ import annotations
@@ -90,8 +95,9 @@ class LocalShellBackend(Backend):
 
     def _setup_spawn_path(self, options: Options) -> None:
         """Decide the spawn path for this run and build its machinery."""
+        mode = getattr(options, "spawn_path", "auto")
         posix = (
-            getattr(options, "spawn_path", "auto") != "popen"
+            mode != "popen"
             and spawn_supported()
             and options.workdir is None  # posix_spawn has no cwd attribute
             and not options.pipe_mode  # every job carries stdin
@@ -107,8 +113,13 @@ class LocalShellBackend(Backend):
             self._pool = None
         if self._launcher is not None:
             self._launcher.close()
-        # Built even when sharded: jobs a dead pool hands back run here.
-        self._launcher = SpawnLauncher(self.shell, env=self._run_env) if posix else None
+        # In-process jobs (and those a dead pool hands back) take the
+        # Popen leg unless the reaper's line stream is needed or the
+        # posix leg was asked for.
+        in_process_posix = posix and (mode == "posix" or options.linebuffer)
+        self._launcher = (
+            SpawnLauncher(self.shell, env=self._run_env) if in_process_posix else None
+        )
         # Workers only have the posix_spawn leg; line streaming stays
         # in-process.
         if n_disp > 1 and posix and not options.linebuffer:
@@ -168,7 +179,8 @@ class LocalShellBackend(Backend):
 
     @property
     def spawn_path(self) -> str:
-        """The path the current run resolved to (``"posix"``/``"popen"``)."""
+        """The leg in-process jobs take this run (``"posix"``/``"popen"``);
+        dispatcher shards always spawn through posix_spawn."""
         return "posix" if self._launcher is not None else "popen"
 
     @property
@@ -287,7 +299,7 @@ class LocalShellBackend(Backend):
             # (lane 0 is the scheduler process itself).
             self._tracer.span(
                 "spawn", reply.start, reply.start + reply.spawn_dur,
-                seq=job.seq, slot=slot, path=self.spawn_path, pid=reply.pid,
+                seq=job.seq, slot=slot, path="posix", pid=reply.pid,
                 shard=reply.shard, lane=reply.shard + 1,
                 lane_name=f"dispatcher {reply.shard}",
             )

@@ -34,10 +34,10 @@ on the Popen path.  The pidfd leg preserves this: a collected exit status
 is held until both pipes close.
 
 ``--linebuffer`` support: a handle registered with a ``stream`` callback
-gets its stdout delivered incrementally in complete-line chunks as they
-arrive (the raw bytes are still accumulated for the final
+gets its stdout delivered incrementally, as bytes, in complete-line
+chunks as they arrive (the raw bytes are still accumulated for the final
 :class:`~repro.core.job.JobResult`, so ``--joblog``/``--results`` capture
-is unchanged).
+is unchanged).  Decoding is the caller's: the reaper only moves bytes.
 """
 
 from __future__ import annotations
@@ -80,15 +80,14 @@ class ReapHandle:
 
     __slots__ = (
         "pid", "stdout_buf", "stderr_buf", "returncode",
-        "_event", "_open_fds", "_stream", "_stream_tail", "encoding",
+        "_event", "_open_fds", "_stream", "_stream_tail",
         "_pidfd", "_status", "_on_done",
     )
 
     def __init__(
         self,
         pid: int,
-        stream: Optional[Callable[[str], None]] = None,
-        encoding: str = "utf-8",
+        stream: Optional[Callable[[bytes], None]] = None,
         on_done: Optional[Callable[["ReapHandle"], None]] = None,
     ):
         self.pid = pid
@@ -97,7 +96,6 @@ class ReapHandle:
         #: Exit status in ``Popen.returncode`` convention (negative =
         #: killed by that signal); None until reaped.
         self.returncode: Optional[int] = None
-        self.encoding = encoding
         self._event = threading.Event()
         self._open_fds = 2
         self._stream = stream
@@ -133,11 +131,7 @@ class ReapHandle:
 
     def _emit_stream(self, data: bytes) -> None:
         try:
-            # Complete lines only, so a UTF-8 sequence is never split;
-            # errors are replaced rather than raised — strict decoding
-            # (and its Popen-parity failure mode) happens at result
-            # construction, not in the shared reaper thread.
-            self._stream(data.decode(self.encoding, errors="replace"))
+            self._stream(data)
         except Exception:
             self._stream = None  # a broken sink must not kill the loop
 
@@ -208,17 +202,18 @@ class PipeReaper:
         pid: int,
         stdout_fd: int,
         stderr_fd: int,
-        stream: Optional[Callable[[str], None]] = None,
-        encoding: str = "utf-8",
+        stream: Optional[Callable[[bytes], None]] = None,
         on_done: Optional[Callable[[ReapHandle], None]] = None,
     ) -> ReapHandle:
         """Hand a spawned job's pipes to the loop; returns its handle.
 
-        ``on_done`` (optional) is invoked from the reaper thread right
-        after the handle completes — dispatcher workers use it to post
-        results without parking a thread per job on ``wait()``.
+        ``stream`` (optional) receives stdout in complete-line byte
+        chunks from the reaper thread.  ``on_done`` (optional) is invoked
+        from the reaper thread right after the handle completes —
+        dispatcher workers use it to post results without parking a
+        thread per job on ``wait()``.
         """
-        handle = ReapHandle(pid, stream=stream, encoding=encoding, on_done=on_done)
+        handle = ReapHandle(pid, stream=stream, on_done=on_done)
         with self._lock:
             if self._closed or not self.alive:
                 raise RuntimeError("reaper is closed")

@@ -6,17 +6,29 @@ in the package calls ``subprocess.Popen``,
 ``os.posix_spawn``, ``os.killpg`` or ``os.setpriority``
 (``tests/test_spawn_sites.py`` enforces it).
 
-``subprocess.Popen(start_new_session=True)`` forces a full ``fork()`` in
-CPython (a session-setting ``preexec`` step disables the vfork/posix_spawn
-fast paths) and builds a Python-level ``Popen`` object per job.
-:class:`SpawnLauncher` replaces it with one ``posix_spawn(3)`` call per
-job using ``POSIX_SPAWN_SETSID`` for the kill-by-group contract and
-argv/env vectors pre-built once per run — the same amortization GNU
-Parallel gets from keeping its command assembly in a single long-lived
-perl process.  Output collection is the
-:class:`~repro.core.backends.reaper.PipeReaper`'s job;
-:func:`run_command` puts the two together (or falls back to Popen) and
-adds the timeout, kill and ``--nice`` handling every caller shares.
+Two ways to start a job, measured on CPython 3.11:
+
+``subprocess.Popen(start_new_session=True)``
+    Takes CPython's vfork path (its spawn cost stays flat as the
+    parent's resident memory grows) and releases the GIL while the
+    child execs, so concurrent ``-j`` slot threads spawn side by side.
+    It builds a Python-level ``Popen`` object and collects output with a
+    per-job ``communicate()``.  The default for in-process jobs.
+
+:class:`SpawnLauncher`
+    One ``os.posix_spawn`` call per job with ``POSIX_SPAWN_SETSID`` for
+    the kill-by-group contract and argv/env vectors pre-built once per
+    run, its output collected by the shared
+    :class:`~repro.core.backends.reaper.PipeReaper`.  ``os.posix_spawn``
+    holds the GIL for its whole vfork→exec: a spinning Python thread
+    stalls once per call, for the call's length, so slot threads
+    spawning this way queue behind each other.  It serves the callers
+    that need the reaper or spawn from one thread: ``--linebuffer``
+    streaming, an explicit ``--spawn-path posix``, the dispatcher shard
+    workers and ``LocalTransport``.
+
+:func:`run_command` picks between the two from its inputs and adds the
+timeout, kill and ``--nice`` handling every caller shares.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ REAPER_GONE = b"reaper shut down mid-run"
 
 
 def spawn_supported() -> bool:
-    """True when this platform can run the posix_spawn fast path.
+    """True when this platform can run the posix_spawn leg.
 
     Requires POSIX, ``os.posix_spawn`` and libc support for
     ``POSIX_SPAWN_SETSID`` (glibc >= 2.26; probed once with a real spawn
@@ -107,10 +119,10 @@ def merged_env(extra: "dict[str, str] | None") -> "dict[str, str] | None":
     return env
 
 
-def decode_output(data: bytes, encoding: str) -> str:
+def decode_output(data: bytes, encoding: str, errors: str = "strict") -> str:
     """Captured bytes → text with ``Popen(text=True)`` parity: strict
-    errors and universal newlines."""
-    text = data.decode(encoding)
+    errors (by default) and universal newlines."""
+    text = data.decode(encoding, errors)
     if "\r" not in text:
         return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
@@ -333,18 +345,26 @@ def run_command(
     ======================  ===========  ==================================
     ``launcher`` (and no    posix_spawn  argv/env pre-built per run; output
     stdin, no cwd)          + reaper     multiplexed by ``reaper``;
-                                         ``stream`` gets stdout line by line
+                                         ``stream`` gets stdout line by
+                                         line (``--linebuffer``,
+                                         ``--spawn-path posix``,
+                                         ``LocalTransport``)
     ``stdin`` given         Popen        per-job stdin needs
                                          ``communicate()``'s write-side
                                          backpressure handling
     ``cwd`` given           Popen        ``posix_spawn`` has no
                                          working-directory attribute
-    no ``launcher``         Popen        ``--spawn-path popen``, or
-                                         ``spawn_supported()`` is False
+    no ``launcher``         Popen        the in-process default
+                                         (``--spawn-path auto|popen``):
+                                         Popen releases the GIL across
+                                         vfork→exec, ``posix_spawn`` does
+                                         not; or ``spawn_supported()`` is
+                                         False
     ======================  ===========  ==================================
 
     The Popen leg runs in bytes mode with ``shell``, ``env`` (None =
-    inherit) and ``stdin`` encoded with ``encoding``.  ``reaper`` must
+    inherit) and ``stdin`` encoded with ``encoding``; it ignores
+    ``stream`` (output arrives whole at exit).  ``reaper`` must
     come from a :class:`LiveReaper`; if it closes between that pick and
     registration, the job is collected by :func:`wait_inline` and
     reports :data:`REAPER_GONE` on stderr.
@@ -381,10 +401,17 @@ def run_command(
             returncode = proc.returncode
         else:
             assert reaper is not None, "the posix_spawn leg needs a reaper"
+            sink = None
+            if stream is not None:
+                # Chunks end at "\n", so neither a UTF-8 sequence nor a
+                # "\r\n" pair is ever split.  Errors are replaced, not
+                # raised: strict decoding (and its Popen-parity failure
+                # mode) happens at result construction, not in the shared
+                # reaper thread.
+                def sink(data: bytes) -> None:
+                    stream(decode_output(data, encoding, errors="replace"))
             try:
-                handle = reaper.register(
-                    pid, out_r, err_r, stream=stream, encoding=encoding
-                )
+                handle = reaper.register(pid, out_r, err_r, stream=sink)
             except RuntimeError:
                 return Completed(pid, wait_inline(pid, out_r, err_r), b"",
                                  REAPER_GONE, start, spawned, time.time())

@@ -105,11 +105,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="stream each job's output line-by-line as it is "
                         "produced (lines from different jobs may interleave)")
     # Engine extension: which process-spawn implementation the local
-    # backend uses (posix_spawn fast path vs. subprocess.Popen).
+    # backend uses (posix_spawn + pipe reaper vs. subprocess.Popen).
     p.add_argument("--spawn-path", default="auto", dest="spawn_path",
                    choices=("auto", "posix", "popen"),
-                   help="local process-spawn path: auto (default; posix_spawn "
-                        "where supported), posix, or popen (popen runs one "
+                   help="local process-spawn path: auto (default; Popen "
+                        "in-process, posix_spawn for --linebuffer and "
+                        "--dispatchers shards), posix (posix_spawn "
+                        "in-process too), or popen (popen runs one "
                         "dispatcher)")
     # Engine extension: shard the local dispatch loop over N spawner
     # worker processes (lifts the single-dispatcher launch-rate ceiling).

@@ -229,10 +229,13 @@ class Options:
     #: Working directory for jobs (``--wd``).
     workdir: Optional[str] = None
     #: Process-spawn path for the local backend (``--spawn-path``):
-    #: ``"auto"`` (posix_spawn fast path when supported, Popen otherwise),
-    #: ``"posix"`` (prefer posix_spawn; hard-unsupported combinations such
-    #: as ``--wd`` still fall back), ``"popen"`` (always Popen, and one
-    #: in-process dispatcher whatever ``--dispatchers`` says).
+    #: ``"auto"`` (in-process jobs on Popen, which releases the GIL
+    #: across vfork→exec where ``posix_spawn`` holds it; posix_spawn +
+    #: reaper for ``--linebuffer`` and in ``--dispatchers`` shards),
+    #: ``"posix"`` (posix_spawn + reaper in-process too; hard-unsupported
+    #: combinations such as ``--wd`` still fall back), ``"popen"``
+    #: (always Popen, and one in-process dispatcher whatever
+    #: ``--dispatchers`` says).
     spawn_path: str = "auto"
     #: Dispatcher shard count for the local backend (``--dispatchers``):
     #: ``"auto"`` (single in-process dispatcher — sharding is opt-in) or

@@ -40,9 +40,15 @@ def _render_tag(
 
 
 def _tag_lines(text: str, tag: str) -> str:
-    return "".join(
-        f"{tag}\t{line}" for line in text.splitlines(keepends=True)
-    )
+    """Prefix every line of non-empty ``text`` with ``tag`` and a tab.
+
+    Lines end at ``"\\n"`` only, as in GNU Parallel: ``str.splitlines``
+    also breaks at ``\\f``, ``\\v``, ``\\x1c``-``\\x1e``, ``\\x85``,
+    U+2028 and U+2029, which would tag mid-line.
+    """
+    head = tag + "\t"
+    tagged = head + text.replace("\n", "\n" + head)
+    return tagged[: -len(head)] if text.endswith("\n") else tagged
 
 
 def format_output(result: JobResult, options: Options) -> str:

@@ -4,7 +4,8 @@ The DispatcherPool's fault contract (``repro.core.backends.pool``): a
 shard that dies takes no user work with it — its in-flight jobs re-queue
 onto surviving shards, the joblog seals cleanly, and exit codes match a
 fault-free run.  With *no* survivors the backend drops to its in-process
-Popen path and the run still completes.
+leg (Popen, or the reaper leg under ``--spawn-path posix``) and the run
+still completes.
 
 These tests drive ``run_scheduler`` with an explicit backend instance
 (the ``Parallel`` facade builds a fresh backend per run, which would hide
@@ -32,12 +33,13 @@ pytestmark = pytest.mark.skipif(
 N_JOBS = 24
 
 
-def _run_sharded(tmp_path, tag, n_dispatchers, killer=None, rpc_batch=1):
+def _run_sharded(tmp_path, tag, n_dispatchers, killer=None, rpc_batch=1,
+                 spawn_path="auto"):
     """One sharded run; returns (summary, ordered output, joblog path)."""
     backend = LocalShellBackend()
     options = Options(
         jobs=4, dispatchers=n_dispatchers, keep_order=True,
-        rpc_batch=rpc_batch,
+        rpc_batch=rpc_batch, spawn_path=spawn_path,
         joblog=str(tmp_path / f"{tag}.log"),
     )
     chunks = []
@@ -187,10 +189,20 @@ def test_shard_death_mid_frame_requeues_exactly_once(tmp_path):
 
 
 def test_all_shards_dead_falls_back_in_process(tmp_path):
+    # No survivor shards — the in-process Popen leg finishes the run.
+    _check_all_shards_dead(tmp_path, "auto")
+
+
+def test_all_shards_dead_falls_back_to_pinned_posix_leg(tmp_path):
+    # --spawn-path posix: the in-process reaper leg finishes the run.
+    _check_all_shards_dead(tmp_path, "posix")
+
+
+def _check_all_shards_dead(tmp_path, spawn_path):
     summary, text, joblog = _run_sharded(
-        tmp_path, "massacre", 2, killer=_kill_every_shard
+        tmp_path, f"massacre-{spawn_path}", 2, killer=_kill_every_shard,
+        spawn_path=spawn_path,
     )
-    # No survivor shards — the in-process Popen rung finishes the run.
     assert summary.ok
     assert summary.n_succeeded == N_JOBS
     assert text == "".join(f"ok-{i}\n" for i in range(1, N_JOBS + 1))

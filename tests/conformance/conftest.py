@@ -48,10 +48,10 @@ def run_gnu_parallel(args, stdin=None, timeout=60):
     )
 
 
-#: Every conformance case runs once per spawn path: the posix_spawn fast
-#: path ("auto" resolves to it where supported) and the Popen reference
-#: path must be behaviourally indistinguishable at the CLI boundary.
-SPAWN_PATHS = ("auto", "popen")
+#: Every conformance case runs once per spawn path: the default ("auto",
+#: in-process jobs on Popen), Popen pinned, and the posix_spawn + reaper
+#: leg must be behaviourally indistinguishable at the CLI boundary.
+SPAWN_PATHS = ("auto", "popen", "posix")
 
 
 @pytest.fixture(params=SPAWN_PATHS)

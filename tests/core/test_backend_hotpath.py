@@ -61,7 +61,7 @@ def test_merged_env_is_computed_once_per_run():
 
 def test_empty_env_inherits_without_copy():
     b = LocalShellBackend()
-    opts = Options(jobs=1)
+    opts = Options(jobs=1, spawn_path="posix")
     b.prepare_run(opts)
     assert b._env_for(opts) is None  # None = inherit, zero copying
     # The posix_spawn leg gets one dict snapshot per run, never the live

@@ -92,3 +92,26 @@ def test_format_tagstring_with_input_token():
 
 def test_format_tag_empty_output():
     assert format_output(result(1, ""), Options(tag=True)) == ""
+
+
+def test_format_tag_breaks_lines_at_newline_only():
+    # GNU Parallel tags at "\n" only; str.splitlines would also split at
+    # these and put a tag in the middle of the line.
+    opts = Options(tag=True)
+    for inner in ("\f", "\v", "\x1c", "\x85",
+                  "\N{LINE SEPARATOR}", "\N{PARAGRAPH SEPARATOR}", "\r"):
+        text = format_output(result(1, f"a{inner}b\n", args=("t",)), opts)
+        assert text == f"t\ta{inner}b\n"
+
+
+def test_format_tag_line_shapes():
+    opts = Options(tag=True)
+    cases = {
+        "\n": "t\t\n",
+        "a": "t\ta",
+        "a\nb": "t\ta\nt\tb",
+        "a\n\nb\n": "t\ta\nt\t\nt\tb\n",
+        "\n\n": "t\t\nt\t\n",
+    }
+    for stdout, expected in cases.items():
+        assert format_output(result(1, stdout, args=("t",)), opts) == expected

@@ -149,7 +149,7 @@ QUIET_THIRD = "test {} = 3 || echo out-{}"
 def test_dead_reaper_local_backend(monkeypatch):
     _close_on_register(monkeypatch, 3)
     summary = Parallel(QUIET_THIRD, jobs=1, keep_order=True,
-                       keep_results="all").run(range(1, 7))
+                       keep_results="all", spawn_path="posix").run(range(1, 7))
     by_seq = {r.seq: r for r in summary.results}
     assert by_seq[3].stderr == REAPER_GONE.decode()
     for seq in (1, 2, 4, 5, 6):

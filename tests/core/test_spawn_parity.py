@@ -1,10 +1,11 @@
 """Spawn-path parity: posix and popen must be byte-for-byte identical.
 
-The posix_spawn fast path (see ``repro.core.backends.spawn``) is a pure
-latency optimisation — every user-visible behaviour (``--keep-order``
+In-process jobs run on Popen by default; the posix_spawn + pipe reaper
+leg (see ``repro.core.backends.spawn``) serves ``--linebuffer`` and
+``--spawn-path posix``.  Every user-visible behaviour (``--keep-order``
 ordering, ``--tag`` prefixes, exit codes, stderr routing, timeout kills)
-must match the Popen reference path exactly.  These tests run the same
-workload through both paths and diff the collected output.
+must match between the two exactly.  These tests run the same workload
+through both paths and diff the collected output.
 
 The cross-shard matrix at the bottom extends the same contract to
 ``--dispatchers N``: sharding the dispatch loop over worker processes is
@@ -18,6 +19,7 @@ import pytest
 from repro import Parallel
 from repro.core.backends.local import LocalShellBackend
 from repro.core.backends.spawn import spawn_supported
+from repro.core.job import JobState
 from repro.core.joblog import read_joblog
 from repro.core.options import Options
 
@@ -29,7 +31,9 @@ PATHS = ("posix", "popen")
 #: Shard counts for the cross-shard parity matrix (1 = the baseline
 #: in-process dispatcher every other cell must match byte-for-byte).
 DISPATCHERS = (1, 2, 4)
-MATRIX_PATHS = ("auto", "popen")
+#: "auto" diffs the pool against the in-process Popen leg, "posix"
+#: against the in-process reaper leg; "popen" runs one dispatcher.
+MATRIX_PATHS = ("auto", "popen", "posix")
 
 
 def run_collect(command, inputs, **option_fields):
@@ -50,11 +54,17 @@ def test_spawn_path_routing_matrix():
         assert backend.spawn_path == "posix"
         backend.prepare_run(Options(spawn_path="popen"))
         assert backend.spawn_path == "popen"
-        # auto picks posix where supported...
+        # auto runs in-process jobs on Popen, which releases the GIL
+        # across vfork→exec (posix_spawn holds it)...
         backend.prepare_run(Options(spawn_path="auto"))
+        assert backend.spawn_path == "popen"
+        # ...except --linebuffer, which needs the reaper's line stream...
+        backend.prepare_run(Options(spawn_path="auto", linebuffer=True))
         assert backend.spawn_path == "posix"
-        # ...but --wd needs a child cwd, which posix_spawn cannot set.
+        # ...and --wd needs a child cwd, which posix_spawn cannot set.
         backend.prepare_run(Options(spawn_path="auto", workdir="."))
+        assert backend.spawn_path == "popen"
+        backend.prepare_run(Options(spawn_path="posix", workdir="."))
         assert backend.spawn_path == "popen"
     finally:
         backend.close()
@@ -94,6 +104,30 @@ def test_tag_without_keep_order_same_line_set():
         assert summary.ok
         lines[path] = sorted(text.splitlines())
     assert lines["posix"] == lines["popen"]
+
+
+@pytest.mark.parametrize("flags", [{}, {"tag": True}], ids=["plain", "tag"])
+def test_linebuffer_output_identical_to_buffered(flags):
+    # CRLF output: the streamed chunks must get the same universal-newline
+    # step as whole-job decoding.  -j1 keeps completion order fixed.
+    outputs = {}
+    for linebuffer in (False, True):
+        states, chunks = [], []
+
+        def emit(res, text):
+            states.append(res.state)
+            chunks.append(text)
+
+        summary = Parallel(
+            "printf 'a-%s\\r\\nb\\rc-%s\\r\\n' {} {}", output=emit, jobs=1,
+            linebuffer=linebuffer, **flags,
+        ).run(range(1, 4))
+        assert summary.ok
+        outputs[linebuffer] = "".join(chunks)
+        # The streamed run really went through the reaper's line stream.
+        assert (JobState.RUNNING in states) is linebuffer
+    assert outputs[True] == outputs[False]
+    assert "a-2\n" in outputs[False] and "\r" not in outputs[False]
 
 
 def test_exit_codes_and_stderr_identical_across_paths():
@@ -246,7 +280,12 @@ def test_rpc_batch_auto_matches_explicit(tmp_path):
 def test_dispatchers_resolution_matrix():
     backend = LocalShellBackend()
     try:
+        # auto still builds the pool; jobs a dead pool hands back run on
+        # the in-process Popen leg, or on posix when that is pinned.
         backend.prepare_run(Options(dispatchers=2))
+        assert backend.dispatchers == 2
+        assert backend.spawn_path == "popen"
+        backend.prepare_run(Options(dispatchers=2, spawn_path="posix"))
         assert backend.dispatchers == 2
         assert backend.spawn_path == "posix"
         # The workers only spawn through posix_spawn: popen means one
