@@ -8,11 +8,11 @@ Running a job is :func:`~repro.core.backends.spawn.run_command`, which
 picks its leg (``posix_spawn`` + shared pipe reaper, or ``Popen``) from
 its inputs; this backend decides those inputs once per run and maps the
 outcome to a :class:`~repro.core.job.JobResult`.  In-process jobs take
-the Popen leg by default: ``os.posix_spawn`` holds the GIL through
-vfork→exec, so the ``-j`` slot threads would queue behind each other's
-spawns, while Popen lets them overlap.  A launcher (the posix leg) is
-built only for ``--linebuffer``, which needs the reaper's line stream,
-and for an explicit ``--spawn-path posix``; ``--wd``, ``--pipe`` and a
+the Popen leg: ``os.posix_spawn`` holds the GIL through vfork→exec, so
+the ``-j`` slot threads would queue behind each other's spawns, while
+Popen lets them overlap.  ``--linebuffer`` streams stdout from the same
+slot thread.  A launcher (the posix leg) is built only for an explicit
+``--spawn-path posix``; ``--wd``, ``--pipe``, ``--linebuffer`` and a
 platform without ``posix_spawn`` never build one.  The ``hthpc``
 benchmark measures what the posix leg costs over a bare spawn
 (``spawn_layer_overhead_us``) and against the Popen leg
@@ -95,16 +95,13 @@ class LocalShellBackend(Backend):
 
     def _setup_spawn_path(self, options: Options) -> None:
         """Decide the spawn path for this run and build its machinery."""
-        mode = getattr(options, "spawn_path", "auto")
         posix = (
-            mode != "popen"
+            options.spawn_path != "popen"
             and spawn_supported()
             and options.workdir is None  # posix_spawn has no cwd attribute
             and not options.pipe_mode  # every job carries stdin
+            and not options.linebuffer  # stdout streams from the slot thread
         )
-        n_disp = 1
-        if hasattr(options, "effective_dispatchers"):
-            n_disp = options.effective_dispatchers()
         if self._pool is not None:
             # A previous run's pool: dispatcher count or options changed,
             # or this run is unsharded — rebuild from scratch either way
@@ -114,25 +111,21 @@ class LocalShellBackend(Backend):
         if self._launcher is not None:
             self._launcher.close()
         # In-process jobs (and those a dead pool hands back) take the
-        # Popen leg unless the reaper's line stream is needed or the
-        # posix leg was asked for.
-        in_process_posix = posix and (mode == "posix" or options.linebuffer)
+        # Popen leg unless the posix leg was asked for.
         self._launcher = (
-            SpawnLauncher(self.shell, env=self._run_env) if in_process_posix else None
+            SpawnLauncher(self.shell, env=self._run_env)
+            if posix and options.spawn_path == "posix" else None
         )
-        # Workers only have the posix_spawn leg; line streaming stays
-        # in-process.
-        if n_disp > 1 and posix and not options.linebuffer:
-            batch = 1
-            if hasattr(options, "effective_rpc_batch"):
-                batch = options.effective_rpc_batch()
+        # Workers only have the posix_spawn leg.
+        n_disp = options.effective_dispatchers()
+        if n_disp > 1 and posix:
             self._pool = DispatcherPool(
                 n_disp,
                 shell=self.shell,
                 env=self._run_env,
                 nice=options.nice,
                 on_event=self._pool_event,
-                batch=batch,
+                batch=options.effective_rpc_batch(),
             )
             self._pool.start()
 
@@ -167,7 +160,7 @@ class LocalShellBackend(Backend):
             return
         if not getattr(template, "has_any_token", False):
             return
-        if getattr(options, "pipe_mode", False):
+        if options.pipe_mode:
             return
         self._pool.intern_template(template.source, quote=options.quote)
 
@@ -239,7 +232,7 @@ class LocalShellBackend(Backend):
                 stdin=job.stdin_data,
                 timeout=timeout,
                 nice=options.nice,
-                stream=getattr(job, "stream", None),
+                stream=job.stream,
                 encoding=self._encoding,
             )
         except OSError as exc:

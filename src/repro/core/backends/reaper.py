@@ -1,6 +1,6 @@
 """Shared pipe reaper: one ``selectors`` loop multiplexing every job's I/O.
 
-The Popen hot path dedicates the calling worker thread to each job's
+The Popen leg dedicates the calling worker thread to each job's
 ``communicate()`` — a per-job selector setup, per-job read loop, per-job
 ``waitpid``.  The reaper amortizes all of that into a single background
 thread: workers register a spawned pid plus its stdout/stderr read fds and
@@ -32,12 +32,6 @@ pipes and the child reaped* — a job that backgrounds a grandchild holding
 the pipe open is still "running" until that write end closes, exactly as
 on the Popen path.  The pidfd leg preserves this: a collected exit status
 is held until both pipes close.
-
-``--linebuffer`` support: a handle registered with a ``stream`` callback
-gets its stdout delivered incrementally, as bytes, in complete-line
-chunks as they arrive (the raw bytes are still accumulated for the final
-:class:`~repro.core.job.JobResult`, so ``--joblog``/``--results`` capture
-is unchanged).  Decoding is the caller's: the reaper only moves bytes.
 """
 
 from __future__ import annotations
@@ -80,14 +74,12 @@ class ReapHandle:
 
     __slots__ = (
         "pid", "stdout_buf", "stderr_buf", "returncode",
-        "_event", "_open_fds", "_stream", "_stream_tail",
-        "_pidfd", "_status", "_on_done",
+        "_event", "_open_fds", "_pidfd", "_status", "_on_done",
     )
 
     def __init__(
         self,
         pid: int,
-        stream: Optional[Callable[[bytes], None]] = None,
         on_done: Optional[Callable[["ReapHandle"], None]] = None,
     ):
         self.pid = pid
@@ -98,8 +90,6 @@ class ReapHandle:
         self.returncode: Optional[int] = None
         self._event = threading.Event()
         self._open_fds = 2
-        self._stream = stream
-        self._stream_tail = bytearray() if stream is not None else None
         #: The job's pidfd while registered with the selector; -1 on the
         #: waitpid fallback leg (or after the pidfd has fired).
         self._pidfd = -1
@@ -117,28 +107,7 @@ class ReapHandle:
         return self._event.is_set()
 
     # -- reaper-side hooks ---------------------------------------------------
-    def _feed(self, which: int, chunk: bytes) -> None:
-        if which == 1:
-            self.stdout_buf += chunk
-            if self._stream is not None:
-                self._stream_tail += chunk
-                cut = self._stream_tail.rfind(b"\n")
-                if cut >= 0:
-                    self._emit_stream(bytes(self._stream_tail[: cut + 1]))
-                    del self._stream_tail[: cut + 1]
-        else:
-            self.stderr_buf += chunk
-
-    def _emit_stream(self, data: bytes) -> None:
-        try:
-            self._stream(data)
-        except Exception:
-            self._stream = None  # a broken sink must not kill the loop
-
     def _finish(self, returncode: int) -> None:
-        if self._stream is not None and self._stream_tail:
-            self._emit_stream(bytes(self._stream_tail))
-            self._stream_tail.clear()
         self.returncode = returncode
         self._event.set()
         if self._on_done is not None:
@@ -154,7 +123,7 @@ class PipeReaper:
     The thread starts lazily on first registration and exits on
     :meth:`close`.  If the loop ever dies on an unexpected error, every
     outstanding handle is released with exit code 127 and ``alive`` turns
-    False — callers treat that as "fall back to the Popen path".
+    False — ``LiveReaper`` then builds a fresh one for the next job.
 
     ``use_pidfd`` selects the exit-collection leg: None (default) probes
     on first registration, False forces the waitpid-polling fallback.
@@ -202,18 +171,15 @@ class PipeReaper:
         pid: int,
         stdout_fd: int,
         stderr_fd: int,
-        stream: Optional[Callable[[bytes], None]] = None,
         on_done: Optional[Callable[[ReapHandle], None]] = None,
     ) -> ReapHandle:
         """Hand a spawned job's pipes to the loop; returns its handle.
 
-        ``stream`` (optional) receives stdout in complete-line byte
-        chunks from the reaper thread.  ``on_done`` (optional) is invoked
-        from the reaper thread right after the handle completes —
-        dispatcher workers use it to post results without parking a
-        thread per job on ``wait()``.
+        ``on_done`` (optional) is invoked from the reaper thread right
+        after the handle completes — dispatcher workers use it to post
+        results without parking a thread per job on ``wait()``.
         """
-        handle = ReapHandle(pid, stream=stream, on_done=on_done)
+        handle = ReapHandle(pid, on_done=on_done)
         with self._lock:
             if self._closed or not self.alive:
                 raise RuntimeError("reaper is closed")
@@ -293,7 +259,8 @@ class PipeReaper:
                 except OSError:
                     chunk = b""
                 if chunk:
-                    handle._feed(which, chunk)
+                    buf = handle.stdout_buf if which == 1 else handle.stderr_buf
+                    buf += chunk
                     continue
                 self._sel.unregister(key.fd)
                 os.close(key.fd)

@@ -12,8 +12,10 @@ Two ways to start a job, measured on CPython 3.11:
     Takes CPython's vfork path (its spawn cost stays flat as the
     parent's resident memory grows) and releases the GIL while the
     child execs, so concurrent ``-j`` slot threads spawn side by side.
-    It builds a Python-level ``Popen`` object and collects output with a
-    per-job ``communicate()``.  The default for in-process jobs.
+    It builds a Python-level ``Popen`` object and collects output in the
+    calling thread: with ``communicate()``, or for ``--linebuffer`` with
+    one ``selectors`` loop that hands stdout on at each newline.  The
+    default for in-process jobs, and the leg for ``LocalTransport``.
 
 :class:`SpawnLauncher`
     One ``os.posix_spawn`` call per job with ``POSIX_SPAWN_SETSID`` for
@@ -22,10 +24,9 @@ Two ways to start a job, measured on CPython 3.11:
     :class:`~repro.core.backends.reaper.PipeReaper`.  ``os.posix_spawn``
     holds the GIL for its whole vfork→exec: a spinning Python thread
     stalls once per call, for the call's length, so slot threads
-    spawning this way queue behind each other.  It serves the callers
-    that need the reaper or spawn from one thread: ``--linebuffer``
-    streaming, an explicit ``--spawn-path posix``, the dispatcher shard
-    workers and ``LocalTransport``.
+    spawning this way queue behind each other.  It has two callers: the
+    dispatcher shard workers, which spawn from one thread each, and an
+    explicit ``--spawn-path posix``.
 
 :func:`run_command` picks between the two from its inputs and adds the
 timeout, kill and ``--nice`` handling every caller shares.
@@ -34,7 +35,7 @@ timeout, kill and ``--nice`` handling every caller shares.
 from __future__ import annotations
 
 import os
-import shlex
+import selectors
 import signal
 import subprocess
 import threading
@@ -42,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.backends.reaper import PipeReaper
+from repro.core.backends.reaper import _CHUNK, PipeReaper
 
 __all__ = [
     "REAPER_GONE",
@@ -57,7 +58,6 @@ __all__ = [
     "set_nice",
     "spawn_supported",
     "wait_inline",
-    "wrap_chdir",
 ]
 
 #: Cached availability probe result (None = not probed yet).
@@ -96,18 +96,6 @@ def spawn_supported() -> bool:
             # libc without POSIX_SPAWN_SETSID or no /bin/sh.
             _supported = False
     return _supported
-
-
-def wrap_chdir(workdir: str, command: str) -> str:
-    """Prefix ``command`` so the shell enters ``workdir`` before running.
-
-    ``posix_spawn`` has no working-directory attribute; the remote
-    transport (whose sandbox workdir it manages) reproduces ``cwd=`` by
-    making the already-spawned shell do the chdir.  Exit 255 on a missing
-    directory mirrors the connect failure a real ssh session would
-    report.
-    """
-    return f"cd {shlex.quote(workdir)} || exit 255; {command}"
 
 
 def merged_env(extra: "dict[str, str] | None") -> "dict[str, str] | None":
@@ -236,7 +224,7 @@ class LiveReaper:
 class SpawnLauncher:
     """Spawns ``shell -c command`` jobs with pre-built argv/env vectors.
 
-    One instance serves one run (or one remote transport): the argv prefix,
+    One instance serves one run (or one shard worker): the argv prefix,
     the environment and the shared ``/dev/null`` stdin fd are all
     computed once, so the per-job work is two ``pipe()`` calls and one
     ``posix_spawn``.  Thread-safe — worker threads spawn concurrently.
@@ -315,6 +303,62 @@ class Completed:
     timed_out: bool = False
 
 
+def _communicate_lines(
+    proc: subprocess.Popen,
+    stream: Callable[[str], None],
+    encoding: str,
+    timeout: "float | None",
+) -> "tuple[bytes, bytes, bool]":
+    """``proc.communicate(timeout=timeout)`` that also hands stdout to
+    ``stream`` at each ``\\n``; returns ``(stdout, stderr, timed_out)``.
+
+    Chunks end at ``\\n``, so neither a UTF-8 sequence nor a ``\\r\\n``
+    pair is ever split; the unterminated tail follows at EOF.  Errors are
+    replaced in the stream, while the returned bytes stay raw: strict
+    decoding happens at result construction.  At ``timeout`` the group is
+    killed and collection drains on.  If ``stream`` raises, the job is
+    killed and still reaped before the error propagates.
+    """
+    deadline = None if timeout is None else time.monotonic() + timeout
+
+    def left() -> "float | None":
+        return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+    out, err = bytearray(), bytearray()
+    sent, timed_out = 0, False
+    try:
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdout, selectors.EVENT_READ, out)
+            sel.register(proc.stderr, selectors.EVENT_READ, err)
+            while sel.get_map():
+                if left() == 0:
+                    kill_group(proc.pid)
+                    timed_out, deadline = True, None
+                for key, _ in sel.select(left()):
+                    chunk = os.read(key.fd, _CHUNK)
+                    if not chunk:
+                        sel.unregister(key.fileobj)
+                    key.data.extend(chunk)
+                    cut = chunk.rfind(b"\n") + 1 if key.data is out else 0
+                    if cut:
+                        end = len(out) - len(chunk) + cut
+                        stream(decode_output(bytes(out[sent:end]), encoding, "replace"))
+                        sent = end
+        if sent < len(out):
+            stream(decode_output(bytes(out[sent:]), encoding, "replace"))
+        try:  # both pipes closed; the deadline still covers the exit
+            proc.wait(left())
+        except subprocess.TimeoutExpired:
+            timed_out = True
+    finally:
+        if proc.returncode is None:  # timed out, or ``stream`` raised
+            kill_group(proc.pid)
+        proc.stdout.close()
+        proc.stderr.close()
+        proc.wait()
+    return bytes(out), bytes(err), timed_out
+
+
 def run_command(
     command: str,
     *,
@@ -344,33 +388,26 @@ def run_command(
     inputs                  leg          why
     ======================  ===========  ==================================
     ``launcher`` (and no    posix_spawn  argv/env pre-built per run; output
-    stdin, no cwd)          + reaper     multiplexed by ``reaper``;
-                                         ``stream`` gets stdout line by
-                                         line (``--linebuffer``,
-                                         ``--spawn-path posix``,
-                                         ``LocalTransport``)
-    ``stdin`` given         Popen        per-job stdin needs
-                                         ``communicate()``'s write-side
-                                         backpressure handling
-    ``cwd`` given           Popen        ``posix_spawn`` has no
-                                         working-directory attribute
-    no ``launcher``         Popen        the in-process default
-                                         (``--spawn-path auto|popen``):
-                                         Popen releases the GIL across
-                                         vfork→exec, ``posix_spawn`` does
-                                         not; or ``spawn_supported()`` is
-                                         False
+    stdin, cwd or stream)   + reaper     multiplexed by ``reaper``
+                                         (``--spawn-path posix``)
+    ``stream`` (no stdin)   Popen +      stdout reaches ``stream`` at each
+                            selector     ``\\n``, from this thread
+                                         (``--linebuffer``)
+    anything else           Popen +      the in-process default: Popen
+                            communicate  releases the GIL across
+                                         vfork→exec; ``communicate()``
+                                         feeds per-job stdin; and
+                                         ``posix_spawn`` has no cwd
     ======================  ===========  ==================================
 
     The Popen leg runs in bytes mode with ``shell``, ``env`` (None =
-    inherit) and ``stdin`` encoded with ``encoding``; it ignores
-    ``stream`` (output arrives whole at exit).  ``reaper`` must
+    inherit) and ``stdin`` encoded with ``encoding``.  ``reaper`` must
     come from a :class:`LiveReaper`; if it closes between that pick and
     registration, the job is collected by :func:`wait_inline` and
     reports :data:`REAPER_GONE` on stderr.
     """
     start = time.time()
-    if launcher is None or stdin is not None or cwd is not None:
+    if launcher is None or stdin is not None or cwd is not None or stream is not None:
         proc = subprocess.Popen(
             [shell, "-c", command],
             stdin=subprocess.PIPE if stdin is not None else subprocess.DEVNULL,
@@ -391,27 +428,21 @@ def run_command(
     timed_out = False
     try:
         if proc is not None:
-            data = stdin.encode(encoding) if stdin is not None else None
-            try:
-                out, err = proc.communicate(input=data, timeout=timeout)
-            except subprocess.TimeoutExpired:
-                kill_group(pid)
-                out, err = proc.communicate()
-                timed_out = True
+            if stream is not None and stdin is None:
+                out, err, timed_out = _communicate_lines(proc, stream, encoding, timeout)
+            else:
+                data = stdin.encode(encoding) if stdin is not None else None
+                try:
+                    out, err = proc.communicate(input=data, timeout=timeout)
+                except subprocess.TimeoutExpired:
+                    kill_group(pid)
+                    out, err = proc.communicate()
+                    timed_out = True
             returncode = proc.returncode
         else:
             assert reaper is not None, "the posix_spawn leg needs a reaper"
-            sink = None
-            if stream is not None:
-                # Chunks end at "\n", so neither a UTF-8 sequence nor a
-                # "\r\n" pair is ever split.  Errors are replaced, not
-                # raised: strict decoding (and its Popen-parity failure
-                # mode) happens at result construction, not in the shared
-                # reaper thread.
-                def sink(data: bytes) -> None:
-                    stream(decode_output(data, encoding, errors="replace"))
             try:
-                handle = reaper.register(pid, out_r, err_r, stream=sink)
+                handle = reaper.register(pid, out_r, err_r)
             except RuntimeError:
                 return Completed(pid, wait_inline(pid, out_r, err_r), b"",
                                  REAPER_GONE, start, spawned, time.time())

@@ -109,10 +109,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--spawn-path", default="auto", dest="spawn_path",
                    choices=("auto", "posix", "popen"),
                    help="local process-spawn path: auto (default; Popen "
-                        "in-process, posix_spawn for --linebuffer and "
-                        "--dispatchers shards), posix (posix_spawn "
-                        "in-process too), or popen (popen runs one "
-                        "dispatcher)")
+                        "in-process, posix_spawn in --dispatchers shards), "
+                        "posix (posix_spawn in-process too, except for "
+                        "--wd, --pipe and --linebuffer), or popen (popen "
+                        "runs one dispatcher)")
     # Engine extension: shard the local dispatch loop over N spawner
     # worker processes (lifts the single-dispatcher launch-rate ceiling).
     p.add_argument("--dispatchers", default="auto", dest="dispatchers",

@@ -231,11 +231,10 @@ class Options:
     #: Process-spawn path for the local backend (``--spawn-path``):
     #: ``"auto"`` (in-process jobs on Popen, which releases the GIL
     #: across vfork→exec where ``posix_spawn`` holds it; posix_spawn +
-    #: reaper for ``--linebuffer`` and in ``--dispatchers`` shards),
-    #: ``"posix"`` (posix_spawn + reaper in-process too; hard-unsupported
-    #: combinations such as ``--wd`` still fall back), ``"popen"``
-    #: (always Popen, and one in-process dispatcher whatever
-    #: ``--dispatchers`` says).
+    #: reaper only in ``--dispatchers`` shards), ``"posix"`` (posix_spawn
+    #: + reaper in-process too; ``--wd``, ``--pipe`` and ``--linebuffer``
+    #: still take Popen), ``"popen"`` (always Popen, and one in-process
+    #: dispatcher whatever ``--dispatchers`` says).
     spawn_path: str = "auto"
     #: Dispatcher shard count for the local backend (``--dispatchers``):
     #: ``"auto"`` (single in-process dispatcher — sharding is opt-in) or
@@ -260,8 +259,9 @@ class Options:
     #: Stream each job's stdout line-by-line as it is produced instead of
     #: buffering until the job finishes (``--linebuffer``).  Lines from
     #: different jobs may interleave, but never within a line.  With
-    #: ``--keep-order`` or on the Popen spawn path output stays
-    #: whole-job-buffered (a documented approximation).
+    #: ``--keep-order`` or ``--pipe`` output stays whole-job-buffered (a
+    #: documented approximation; ``--pipe`` jobs need ``communicate()``
+    #: to feed their stdin).
     linebuffer: bool = False
     #: POSIX niceness applied to spawned processes (``--nice``).
     nice: Optional[int] = None

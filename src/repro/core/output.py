@@ -90,7 +90,7 @@ class OutputSequencer:
         #: Sequence numbers whose stdout already went out incrementally
         #: (``--linebuffer`` streaming); their push suppresses the buffered
         #: re-emission.  Guarded by ``_emit_lock`` — stream callbacks run
-        #: on a backend reaper thread, pushes on the scheduler thread.
+        #: on the job's slot thread, pushes on the scheduler thread.
         self._streamed: set[int] = set()
         self._emit_lock = threading.Lock()
 
@@ -101,7 +101,7 @@ class OutputSequencer:
         ``--linebuffer`` without ``--keep-order`` (with ``-k`` output stays
         whole-job-buffered, GNU Parallel's ``--group`` approximation).  The
         returned callback receives complete-line text chunks as the job
-        produces them — safe to call from a backend's reaper thread; tags
+        produces them — safe to call from the job's slot thread; tags
         are applied per line, and the job's buffered stdout is suppressed
         when its result is eventually pushed.
         """

@@ -31,12 +31,12 @@ The transport is the session
 
 A transport holds the per-host session state GNU Parallel gets from one
 ssh ControlMaster per host, and pays for it once instead of per job:
-:class:`LocalTransport` merges the environment into one
-:class:`~repro.core.backends.spawn.SpawnLauncher` and shares one reaper,
-and :class:`SimTransport` charges a host's connect latency at its first
-execute only.  The remote backend calls the transport directly, so a
-wrapper transport (fault injection) sits on exactly the path production
-takes.
+:class:`LocalTransport` merges the environment once per ``env`` mapping
+and runs each job with one ``run_command`` call, Popen with ``cwd=``
+the host workdir; :class:`SimTransport` charges a host's connect
+latency at its first execute only.  The remote backend calls the
+transport directly, so a wrapper transport (fault injection) sits on
+exactly the path production takes.
 """
 
 from __future__ import annotations
@@ -51,14 +51,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core.backends.spawn import (
-    LiveReaper,
     ProcessTable,
-    SpawnLauncher,
     decode_output,
     merged_env,
     run_command,
-    spawn_supported,
-    wrap_chdir,
 )
 from repro.core.options import TMPDIR_WORKDIR
 from repro.errors import StagingError, TransportError
@@ -157,22 +153,17 @@ class LocalTransport(Transport):
         self._table = ProcessTable()
         self._lock = threading.Lock()
         self._tmp_workdirs: list[str] = []
-        #: Shared pipe reaper serving every host's spawn path.
-        self._reapers = LiveReaper()
-        self._launcher: Optional[SpawnLauncher] = None
-        #: The ``env`` mapping the launcher's merged vector was built from
-        #: (compared with ``is`` — it is the per-run constant ``options.env``).
-        self._env_src: Optional[dict[str, str]] = None
+        #: ``(env, merged_env(env))`` for the last ``env`` mapping seen,
+        #: compared with ``is`` — it is the per-run constant ``options.env``.
+        self._env_cache: tuple = (None, None)
         self._encoding = locale.getpreferredencoding(False)
 
-    def _launcher_for(self, env: Optional[dict[str, str]]) -> SpawnLauncher:
-        with self._lock:
-            if self._launcher is None or env is not self._env_src:
-                if self._launcher is not None:
-                    self._launcher.close()
-                self._launcher = SpawnLauncher(self.shell, env=merged_env(env))
-                self._env_src = env
-            return self._launcher
+    def _merged_env(self, env: Optional[dict[str, str]]) -> Optional[dict[str, str]]:
+        src, merged = self._env_cache
+        if env is not src:
+            merged = merged_env(env)
+            self._env_cache = (env, merged)
+        return merged
 
     # -- roots and workdirs ------------------------------------------------
     def _ensure_root(self) -> str:
@@ -227,17 +218,12 @@ class LocalTransport(Transport):
     ) -> ExecResult:
         if self._table.cancelled.is_set():
             return ExecResult(exit_code=-1, stderr="cancelled")
-        if stdin is None and spawn_supported():
-            # posix_spawn has no working-directory attribute: the spawned
-            # shell does the cd.
-            command = wrap_chdir(workdir, command)
-            leg = dict(launcher=self._launcher_for(env), reaper=self._reapers.get())
-        else:
-            leg = dict(cwd=workdir, stdin=stdin, env=merged_env(env))
         try:
+            # A vanished workdir fails Popen's chdir: a host-level error.
             done = run_command(
-                command, table=self._table, shell=self.shell,
-                encoding=self._encoding, timeout=timeout, **leg,
+                command, table=self._table, shell=self.shell, cwd=workdir,
+                stdin=stdin, env=self._merged_env(env),
+                encoding=self._encoding, timeout=timeout,
             )
         except OSError as exc:
             raise TransportError(
@@ -290,10 +276,6 @@ class LocalTransport(Transport):
             root, own = self._root, self._own_root
             if own:
                 self._root = None
-            launcher, self._launcher = self._launcher, None
-        if launcher is not None:
-            launcher.close()
-        self._reapers.close()
         for path in tmp_workdirs:
             shutil.rmtree(path, ignore_errors=True)
         if own and root is not None:

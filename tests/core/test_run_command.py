@@ -4,7 +4,7 @@ Every caller (local backend, remote transport) reaches a subprocess
 through ``run_command``; shard workers share its launcher, reaper rule
 and kill/nice helpers.  The legs must agree byte for byte, and the one
 dead-reaper rule — a fresh ``PipeReaper`` for the next job — is forced
-here on each of the three reaper owners.
+here on each of the two reaper owners.
 """
 
 import itertools
@@ -24,8 +24,6 @@ from repro.core.backends.spawn import (
     run_command,
     spawn_supported,
 )
-from repro.remote.hosts import HostSpec
-from repro.remote.transport import LocalTransport
 
 pytestmark = pytest.mark.skipif(
     not spawn_supported(), reason="posix_spawn unavailable on this platform"
@@ -50,21 +48,75 @@ def _outcome(done):
 def test_every_leg_gives_the_same_outcome(posix, tmp_path):
     launcher, reapers = posix
     table = ProcessTable()
+    streamed = []
     legs = {
         "posix": dict(launcher=launcher, reaper=reapers.get()),
         "no launcher": {},
         "cwd": dict(launcher=launcher, cwd=str(tmp_path)),
         "stdin": dict(launcher=launcher, stdin=""),
+        "stream": dict(launcher=launcher, stream=streamed.append),
     }
     outcomes = {name: _outcome(run_command(MIXED, table=table, **kw))
                 for name, kw in legs.items()}
     assert set(outcomes.values()) == {(3, b"out\n", b"err\n", False)}
+    assert streamed == ["out\n"]
 
 
 def test_popen_leg_feeds_stdin_and_honours_cwd(tmp_path):
     done = run_command("cat; pwd", table=ProcessTable(), stdin="a\nb\n",
                        cwd=str(tmp_path))
     assert done.stdout == f"a\nb\n{tmp_path}\n".encode()
+
+
+# ---------------------------------------------------------- streaming leg
+def test_stream_chunks_end_at_newlines_and_the_tail_arrives():
+    chunks = []
+    done = run_command("printf 'a\\nb'; sleep 0.2; printf 'c\\nd'",
+                       table=ProcessTable(), stream=chunks.append)
+    assert "".join(chunks) == "a\nbc\nd"
+    assert all(chunk.endswith("\n") for chunk in chunks[:-1])
+    assert chunks[-1] == "d"  # unterminated, flushed at EOF before return
+    assert done.stdout == b"a\nbc\nd"
+
+
+def test_stream_replaces_invalid_utf8_but_keeps_raw_bytes():
+    chunks = []
+    done = run_command("printf 'ok\\377\\n'", table=ProcessTable(),
+                       stream=chunks.append)
+    assert chunks == ["ok\ufffd\n"]
+    assert done.stdout == b"ok\xff\n"
+
+
+def test_stream_waits_for_a_grandchild_holding_stdout():
+    # As with communicate(): the job is open until every writer closes.
+    chunks = []
+    t0 = time.time()
+    done = run_command("(sleep 0.3; echo late) & echo early",
+                       table=ProcessTable(), stream=chunks.append)
+    assert chunks == ["early\n", "late\n"]
+    assert done.stdout == b"early\nlate\n"
+    assert time.time() - t0 >= 0.25
+
+
+def test_stream_timeout_covers_a_job_that_closed_its_pipes():
+    t0 = time.time()
+    done = run_command("exec >&- 2>&-; sleep 30", table=ProcessTable(),
+                       timeout=0.2, stream=lambda _text: None)
+    assert (done.timed_out, done.returncode) == (True, -15)
+    assert time.time() - t0 < 5
+
+
+def test_stream_raising_still_reaps_the_job():
+    table = ProcessTable()
+
+    def broken(_text):
+        raise RuntimeError("sink failed")
+
+    t0 = time.time()
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_command("echo first; sleep 30", table=table, stream=broken)
+    assert time.time() - t0 < 5  # killed, not waited out
+    assert table.kill_all() == 0  # and no longer in flight
 
 
 def test_timestamps_are_ordered(posix):
@@ -75,10 +127,14 @@ def test_timestamps_are_ordered(posix):
     assert done.pid > 0
 
 
-@pytest.mark.parametrize("leg", ["posix", "popen"])
+@pytest.mark.parametrize("leg", ["posix", "popen", "stream"])
 def test_timeout_kills_the_group(posix, leg):
     launcher, reapers = posix
-    kw = dict(launcher=launcher, reaper=reapers.get()) if leg == "posix" else {}
+    kw = {
+        "posix": dict(launcher=launcher, reaper=reapers.get()),
+        "popen": {},
+        "stream": dict(stream=lambda _text: None),
+    }[leg]
     t0 = time.time()
     done = run_command("sleep 30", table=ProcessTable(), timeout=0.2, **kw)
     assert done.timed_out
@@ -154,24 +210,6 @@ def test_dead_reaper_local_backend(monkeypatch):
     assert by_seq[3].stderr == REAPER_GONE.decode()
     for seq in (1, 2, 4, 5, 6):
         assert (by_seq[seq].exit_code, by_seq[seq].stdout) == (0, f"out-{seq}\n")
-
-
-def test_dead_reaper_transport(monkeypatch, tmp_path):
-    _close_on_register(monkeypatch, 3)
-    host = HostSpec("n1", 1)
-    transport = LocalTransport(root=str(tmp_path / "hosts"))
-    try:
-        workdir = transport.ensure_workdir(host, None)
-        results = {
-            i: transport.execute(host, QUIET_THIRD.replace("{}", str(i)),
-                                 workdir=workdir)
-            for i in range(1, 7)
-        }
-    finally:
-        transport.close()
-    assert results[3].stderr == REAPER_GONE.decode()
-    for i in (1, 2, 4, 5, 6):
-        assert (results[i].exit_code, results[i].stdout) == (0, f"out-{i}\n")
 
 
 def test_dead_reaper_dispatcher_worker(monkeypatch):

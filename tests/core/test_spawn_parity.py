@@ -1,8 +1,8 @@
 """Spawn-path parity: posix and popen must be byte-for-byte identical.
 
 In-process jobs run on Popen by default; the posix_spawn + pipe reaper
-leg (see ``repro.core.backends.spawn``) serves ``--linebuffer`` and
-``--spawn-path posix``.  Every user-visible behaviour (``--keep-order``
+leg (see ``repro.core.backends.spawn``) serves ``--spawn-path posix``
+and the dispatcher shards.  Every user-visible behaviour (``--keep-order``
 ordering, ``--tag`` prefixes, exit codes, stderr routing, timeout kills)
 must match between the two exactly.  These tests run the same workload
 through both paths and diff the collected output.
@@ -55,17 +55,16 @@ def test_spawn_path_routing_matrix():
         backend.prepare_run(Options(spawn_path="popen"))
         assert backend.spawn_path == "popen"
         # auto runs in-process jobs on Popen, which releases the GIL
-        # across vfork→exec (posix_spawn holds it)...
+        # across vfork→exec (posix_spawn holds it).
         backend.prepare_run(Options(spawn_path="auto"))
         assert backend.spawn_path == "popen"
-        # ...except --linebuffer, which needs the reaper's line stream...
-        backend.prepare_run(Options(spawn_path="auto", linebuffer=True))
-        assert backend.spawn_path == "posix"
-        # ...and --wd needs a child cwd, which posix_spawn cannot set.
-        backend.prepare_run(Options(spawn_path="auto", workdir="."))
-        assert backend.spawn_path == "popen"
-        backend.prepare_run(Options(spawn_path="posix", workdir="."))
-        assert backend.spawn_path == "popen"
+        # --linebuffer streams from the slot thread, and --wd needs a
+        # child cwd, which posix_spawn cannot set: Popen even when
+        # posix is pinned.
+        for flags in ({"linebuffer": True}, {"workdir": "."}):
+            for mode in ("auto", "posix"):
+                backend.prepare_run(Options(spawn_path=mode, **flags))
+                assert backend.spawn_path == "popen", (mode, flags)
     finally:
         backend.close()
 
@@ -106,7 +105,23 @@ def test_tag_without_keep_order_same_line_set():
     assert lines["posix"] == lines["popen"]
 
 
-@pytest.mark.parametrize("flags", [{}, {"tag": True}], ids=["plain", "tag"])
+#: Every way an in-process --linebuffer run can be set up, each plain and
+#: with --tag; the bare ids ("plain", "tag") are the default options.
+LINEBUFFER_SETUPS = {
+    "": {},
+    "wd": {"workdir": "."},
+    "popen": {"spawn_path": "popen"},
+    "posix": {"spawn_path": "posix"},
+}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [{**setup, **tag} for setup in LINEBUFFER_SETUPS.values()
+     for tag in ({}, {"tag": True})],
+    ids=[f"{name}+{kind}" if name else kind for name in LINEBUFFER_SETUPS
+         for kind in ("plain", "tag")],
+)
 def test_linebuffer_output_identical_to_buffered(flags):
     # CRLF output: the streamed chunks must get the same universal-newline
     # step as whole-job decoding.  -j1 keeps completion order fixed.
@@ -124,7 +139,7 @@ def test_linebuffer_output_identical_to_buffered(flags):
         ).run(range(1, 4))
         assert summary.ok
         outputs[linebuffer] = "".join(chunks)
-        # The streamed run really went through the reaper's line stream.
+        # The streamed run really emitted mid-job chunks.
         assert (JobState.RUNNING in states) is linebuffer
     assert outputs[True] == outputs[False]
     assert "a-2\n" in outputs[False] and "\r" not in outputs[False]

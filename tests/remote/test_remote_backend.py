@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.core.backends.spawn import SpawnLauncher, spawn_supported
+from repro.core.backends.spawn import SpawnLauncher
 from repro.core.engine import Parallel
 from repro.core.job import Job, JobState
 from repro.core.joblog import read_joblog
@@ -18,6 +18,7 @@ from repro.remote import (
     SimTransport,
     parse_sshlogin,
 )
+from repro.remote import transport as transport_module
 
 FOUR_HOSTS = "2/n1,2/n2,2/n3,2/n4"
 
@@ -172,24 +173,31 @@ class TestFaultWrapperPath:
         assert [h for h, _, _ in inner.exec_log] == [h for h, _, _ in bare.exec_log]
         assert {h for h, _, _ in bare.exec_log} == {"h1", "h2"}
 
-    @pytest.mark.skipif(not spawn_supported(), reason="posix_spawn unavailable")
-    def test_wrapped_local_transport_takes_posix_spawn(self, monkeypatch, tmp_path):
+    def test_wrapped_local_transport_takes_popen(self, monkeypatch, tmp_path):
+        # One run_command per job with cwd= the host workdir and no
+        # launcher: the Popen leg, with no posix_spawn anywhere.
         calls = []
-        real = SpawnLauncher.spawn
+        real = transport_module.run_command
 
-        def counting_spawn(self, command):
-            calls.append(command)
-            return real(self, command)
+        def recording_run_command(command, **kwargs):
+            calls.append(kwargs)
+            return real(command, **kwargs)
 
-        monkeypatch.setattr(SpawnLauncher, "spawn", counting_spawn)
-        for name, transport in (
-            ("bare", LocalTransport(root=str(tmp_path / "bare"))),
-            ("wrapped", FaultyTransport(LocalTransport(root=str(tmp_path / "wrapped")))),
-        ):
+        def no_spawn(self, command):
+            raise AssertionError("LocalTransport reached posix_spawn")
+
+        monkeypatch.setattr(transport_module, "run_command", recording_run_command)
+        monkeypatch.setattr(SpawnLauncher, "spawn", no_spawn)
+        for name in ("bare", "wrapped"):
+            local = LocalTransport(root=str(tmp_path / name))
+            transport = FaultyTransport(local) if name == "wrapped" else local
             calls.clear()
             results = self.run_sequential(transport, n_jobs=6)
             assert all(r.ok for r in results), name
             assert len(calls) == 6, name
+            workdirs = {str(tmp_path / name / host) for host in ("h1", "h2")}
+            assert {kw["cwd"] for kw in calls} <= workdirs, name
+            assert all("launcher" not in kw for kw in calls), name
 
 
 class TestLocalhostStagingSkip:

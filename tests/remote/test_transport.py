@@ -95,6 +95,16 @@ class TestLocalTransportExec:
         assert exc.value.phase == "execute"
         lt.close()
 
+    @pytest.mark.parametrize("stdin", [None, "x\n"], ids=["plain", "pipe"])
+    def test_vanished_workdir_is_transport_error(self, lt, stdin):
+        # Popen's cwd= fails before the job starts: a host-level error,
+        # for a --pipe job and a plain one alike, never a job exit code.
+        wd = lt.ensure_workdir(N1, "/gone")
+        os.rmdir(wd)
+        with pytest.raises(TransportError) as exc:
+            lt.execute(N1, "true", workdir=wd, stdin=stdin)
+        assert exc.value.phase == "execute"
+
     def test_get_missing_file_is_staging_error(self, lt, tmp_path):
         wd = lt.ensure_workdir(N1, None)
         with pytest.raises(StagingError):

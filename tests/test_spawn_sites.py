@@ -5,6 +5,11 @@ for the shard workers, its launcher and helpers).  A second copy of
 spawn → collect → timeout → kill would grow its own kill-by-group, cancel
 race and ``--nice`` handling, so the calls that start or signal a job
 may appear nowhere else under ``src/``.
+
+The posix_spawn leg (``SpawnLauncher`` + ``LiveReaper``) is built only
+by its two remaining callers — the local backend under ``--spawn-path
+posix`` and the dispatcher shard workers — so no new caller can grow
+back onto it.
 """
 
 from __future__ import annotations
@@ -12,18 +17,35 @@ from __future__ import annotations
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HOME = SRC / "repro" / "core" / "backends" / "spawn.py"
+BACKENDS = SRC / "repro" / "core" / "backends"
+HOME = BACKENDS / "spawn.py"
 CALLS = ("subprocess.Popen(", "os.posix_spawn(", "os.killpg(", "os.setpriority(")
+POSIX_LEG = ("SpawnLauncher(", "LiveReaper(")
+POSIX_LEG_HOMES = {BACKENDS / name for name in ("spawn.py", "local.py", "pool.py")}
+
+
+def _offenders(calls, allowed):
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path in allowed:
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            for call in calls:
+                if call in line:
+                    found.append(f"{path.relative_to(SRC)}:{lineno}: {call}")
+    return found
 
 
 def test_spawn_calls_only_in_spawn_module():
     assert HOME.is_file()
-    offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        if path == HOME:
-            continue
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            for call in CALLS:
-                if call in line:
-                    offenders.append(f"{path.relative_to(SRC)}:{lineno}: {call}")
+    offenders = _offenders(CALLS, {HOME})
     assert not offenders, "spawn calls outside core/backends/spawn.py:\n" + "\n".join(offenders)
+
+
+def test_posix_leg_built_only_by_its_callers():
+    assert all(path.is_file() for path in POSIX_LEG_HOMES)
+    offenders = _offenders(POSIX_LEG, POSIX_LEG_HOMES)
+    assert not offenders, (
+        "posix_spawn leg built outside core/backends/{spawn,local,pool}.py:\n"
+        + "\n".join(offenders)
+    )
