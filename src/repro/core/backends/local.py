@@ -10,12 +10,12 @@ its inputs; this backend decides those inputs once per run and maps the
 outcome to a :class:`~repro.core.job.JobResult`.  In-process jobs take
 the Popen leg: ``os.posix_spawn`` holds the GIL through vfork→exec, so
 the ``-j`` slot threads would queue behind each other's spawns, while
-Popen lets them overlap.  ``--linebuffer`` streams stdout from the same
-slot thread.  A launcher (the posix leg) is built only for an explicit
-``--spawn-path posix``; ``--wd``, ``--pipe``, ``--linebuffer`` and a
-platform without ``posix_spawn`` never build one.  The ``hthpc``
-benchmark measures what the posix leg costs over a bare spawn
-(``spawn_layer_overhead_us``) and against the Popen leg
+Popen lets them overlap.  The slot thread reads the job's two pipes
+itself, handing stdout on at each newline for ``--linebuffer``.  A
+launcher (the posix leg) is built only for an explicit ``--spawn-path
+posix``; ``--wd``, ``--pipe``, ``--linebuffer`` and a platform without
+``posix_spawn`` never build one.  The ``hthpc`` benchmark measures what
+the posix leg costs over a bare spawn (``spawn_layer_overhead_us``) and against the Popen leg
 (``run_job_us_posix``/``run_job_us_popen``); see DESIGN.md, "Dispatch
 overhead anatomy".
 
@@ -242,7 +242,8 @@ class LocalShellBackend(Backend):
             )
         if self._tracer is not None:
             # The reap span is collection: on the Popen leg a blocking
-            # communicate(), so both legs' spans include the job's runtime.
+            # read of both pipes and the wait, so both legs' spans
+            # include the job's runtime.
             path = "posix" if posix else "popen"
             self._tracer.span(
                 "spawn", done.start, done.spawned, seq=job.seq, slot=slot,

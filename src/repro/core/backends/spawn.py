@@ -12,10 +12,12 @@ Two ways to start a job, measured on CPython 3.11:
     Takes CPython's vfork path (its spawn cost stays flat as the
     parent's resident memory grows) and releases the GIL while the
     child execs, so concurrent ``-j`` slot threads spawn side by side.
-    It builds a Python-level ``Popen`` object and collects output in the
-    calling thread: with ``communicate()``, or for ``--linebuffer`` with
-    one ``selectors`` loop that hands stdout on at each newline.  The
-    default for in-process jobs, and the leg for ``LocalTransport``.
+    The job's stdout and stderr are two pipes handed to Popen as raw
+    fds, so it wraps no file objects around them, and the calling
+    thread reads both with one ``poll`` loop (:func:`_collect`), which
+    also hands stdout on at each newline for ``--linebuffer``.  A job
+    with per-job stdin keeps ``communicate()``.  The default for
+    in-process jobs, and the leg for ``LocalTransport``.
 
 :class:`SpawnLauncher`
     One ``os.posix_spawn`` call per job with ``POSIX_SPAWN_SETSID`` for
@@ -35,7 +37,7 @@ timeout, kill and ``--nice`` handling every caller shares.
 from __future__ import annotations
 
 import os
-import selectors
+import select
 import signal
 import subprocess
 import threading
@@ -303,21 +305,79 @@ class Completed:
     timed_out: bool = False
 
 
-def _communicate_lines(
-    proc: subprocess.Popen,
-    stream: Callable[[str], None],
-    encoding: str,
-    timeout: "float | None",
-) -> "tuple[bytes, bytes, bool]":
-    """``proc.communicate(timeout=timeout)`` that also hands stdout to
-    ``stream`` at each ``\\n``; returns ``(stdout, stderr, timed_out)``.
+#: Read-only ``/dev/null`` shared as stdin by every :func:`_popen_pipes`
+#: job, opened once per process: ``subprocess.DEVNULL`` would open and
+#: close it for each job.
+_devnull: "int | None" = None
 
-    Chunks end at ``\\n``, so neither a UTF-8 sequence nor a ``\\r\\n``
-    pair is ever split; the unterminated tail follows at EOF.  Errors are
+
+def _popen_pipes(
+    argv: "list[str]", cwd: "str | None", env: "dict[str, str] | None"
+) -> "tuple[subprocess.Popen, int, int]":
+    """Start one job with Popen; returns ``(proc, stdout_read_fd,
+    stderr_read_fd)``.
+
+    stdin is the shared ``/dev/null``; stdout and stderr are two fresh
+    pipes handed to Popen as raw fds, so it wraps no file objects around
+    them, and the caller owns the read ends.  Raises ``OSError`` when
+    the spawn fails, with all four pipe ends closed.
+    """
+    global _devnull
+    if _devnull is None:
+        with _probe_lock:
+            if _devnull is None:
+                _devnull = os.open(os.devnull, os.O_RDONLY)
+    out_r, out_w = os.pipe()
+    err_r, err_w = os.pipe()
+    try:
+        proc = subprocess.Popen(
+            argv,
+            stdin=_devnull,
+            stdout=out_w,
+            stderr=err_w,
+            cwd=cwd,
+            env=env,
+            # setsid in the child: the job tree is one killable group.
+            start_new_session=(os.name == "posix"),
+        )
+    except BaseException:
+        os.close(out_r)
+        os.close(err_r)
+        raise
+    finally:
+        os.close(out_w)
+        os.close(err_w)
+    return proc, out_r, err_r
+
+
+#: Longest wait one ``poll`` call takes (a C int of ms); a longer timeout
+#: is waited out over several calls.
+_POLL_MAX_MS = 2**31 - 1
+
+
+def _collect(
+    proc: subprocess.Popen,
+    out_r: int,
+    err_r: int,
+    timeout: "float | None",
+    stream: "Callable[[str], None] | None" = None,
+    encoding: str = "utf-8",
+) -> "tuple[bytes, bytes, bool]":
+    """Read the job's stdout and stderr pipes to EOF, then reap it;
+    returns ``(stdout, stderr, timed_out)`` and closes both read ends.
+
+    One ``poll`` loop on the two fds, in the calling thread.  A pipe that
+    reports hang-up without data is at EOF and costs no read, so a job
+    that writes nothing is collected with one ``poll`` and one
+    ``waitpid``.  At ``timeout`` the group is killed and collection
+    drains on; if ``stream`` raises, the job is killed and still reaped
+    before the error propagates.
+
+    With ``stream``, stdout is also handed on at each ``\\n``.  Chunks
+    end at ``\\n``, so neither a UTF-8 sequence nor a ``\\r\\n`` pair is
+    ever split; the unterminated tail follows at EOF.  Errors are
     replaced in the stream, while the returned bytes stay raw: strict
-    decoding happens at result construction.  At ``timeout`` the group is
-    killed and collection drains on.  If ``stream`` raises, the job is
-    killed and still reaped before the error propagates.
+    decoding happens at result construction.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
 
@@ -325,26 +385,31 @@ def _communicate_lines(
         return None if deadline is None else max(0.0, deadline - time.monotonic())
 
     out, err = bytearray(), bytearray()
-    sent, timed_out = 0, False
+    bufs = {out_r: out, err_r: err}
+    poller = select.poll()
+    poller.register(out_r, select.POLLIN)
+    poller.register(err_r, select.POLLIN)
+    live, sent, timed_out = 2, 0, False
     try:
-        with selectors.DefaultSelector() as sel:
-            sel.register(proc.stdout, selectors.EVENT_READ, out)
-            sel.register(proc.stderr, selectors.EVENT_READ, err)
-            while sel.get_map():
-                if left() == 0:
-                    kill_group(proc.pid)
-                    timed_out, deadline = True, None
-                for key, _ in sel.select(left()):
-                    chunk = os.read(key.fd, _CHUNK)
-                    if not chunk:
-                        sel.unregister(key.fileobj)
-                    key.data.extend(chunk)
-                    cut = chunk.rfind(b"\n") + 1 if key.data is out else 0
-                    if cut:
-                        end = len(out) - len(chunk) + cut
-                        stream(decode_output(bytes(out[sent:end]), encoding, "replace"))
-                        sent = end
-        if sent < len(out):
+        while live:
+            if left() == 0:
+                kill_group(proc.pid)
+                timed_out, deadline = True, None
+            wait = left()
+            for fd, event in poller.poll(None if wait is None
+                                         else min(wait * 1000, _POLL_MAX_MS)):
+                chunk = os.read(fd, _CHUNK) if event & select.POLLIN else b""
+                if not chunk:
+                    poller.unregister(fd)
+                    live -= 1
+                    continue
+                bufs[fd] += chunk
+                cut = chunk.rfind(b"\n") + 1 if stream is not None and fd == out_r else 0
+                if cut:
+                    end = len(out) - len(chunk) + cut
+                    stream(decode_output(bytes(out[sent:end]), encoding, "replace"))
+                    sent = end
+        if stream is not None and sent < len(out):
             stream(decode_output(bytes(out[sent:]), encoding, "replace"))
         try:  # both pipes closed; the deadline still covers the exit
             proc.wait(left())
@@ -353,8 +418,8 @@ def _communicate_lines(
     finally:
         if proc.returncode is None:  # timed out, or ``stream`` raised
             kill_group(proc.pid)
-        proc.stdout.close()
-        proc.stderr.close()
+        os.close(out_r)
+        os.close(err_r)
         proc.wait()
     return bytes(out), bytes(err), timed_out
 
@@ -387,19 +452,22 @@ def run_command(
     ======================  ===========  ==================================
     inputs                  leg          why
     ======================  ===========  ==================================
+    ``stdin``               Popen +      ``communicate()`` feeds per-job
+                            communicate  stdin (``--pipe``)
     ``launcher`` (and no    posix_spawn  argv/env pre-built per run; output
-    stdin, cwd or stream)   + reaper     multiplexed by ``reaper``
+    cwd or stream)          + reaper     multiplexed by ``reaper``
                                          (``--spawn-path posix``)
-    ``stream`` (no stdin)   Popen +      stdout reaches ``stream`` at each
-                            selector     ``\\n``, from this thread
-                                         (``--linebuffer``)
     anything else           Popen +      the in-process default: Popen
-                            communicate  releases the GIL across
-                                         vfork→exec; ``communicate()``
-                                         feeds per-job stdin; and
+                            poll loop    releases the GIL across
+                                         vfork→exec; :func:`_collect`
+                                         reads the two raw pipe fds in
+                                         this thread, handing stdout to
+                                         ``stream`` (``--linebuffer``);
                                          ``posix_spawn`` has no cwd
     ======================  ===========  ==================================
 
+    On every leg a job is open until every writer has closed its pipes,
+    so a backgrounded grandchild still holding stdout keeps it running.
     The Popen leg runs in bytes mode with ``shell``, ``env`` (None =
     inherit) and ``stdin`` encoded with ``encoding``.  ``reaper`` must
     come from a :class:`LiveReaper`; if it closes between that pick and
@@ -407,10 +475,12 @@ def run_command(
     reports :data:`REAPER_GONE` on stderr.
     """
     start = time.time()
-    if launcher is None or stdin is not None or cwd is not None or stream is not None:
+    argv = [shell, "-c", command]
+    proc = None
+    if stdin is not None:
         proc = subprocess.Popen(
-            [shell, "-c", command],
-            stdin=subprocess.PIPE if stdin is not None else subprocess.DEVNULL,
+            argv,
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             cwd=cwd,
@@ -419,25 +489,26 @@ def run_command(
             start_new_session=(os.name == "posix"),
         )
         pid = proc.pid
+    elif launcher is None or cwd is not None or stream is not None:
+        proc, out_r, err_r = _popen_pipes(argv, cwd, env)
+        pid = proc.pid
     else:
-        proc = None
         pid, out_r, err_r = launcher.spawn(command)
     spawned = time.time()
     set_nice(pid, nice)
     table.add(pid)
     timed_out = False
     try:
-        if proc is not None:
-            if stream is not None and stdin is None:
-                out, err, timed_out = _communicate_lines(proc, stream, encoding, timeout)
-            else:
-                data = stdin.encode(encoding) if stdin is not None else None
-                try:
-                    out, err = proc.communicate(input=data, timeout=timeout)
-                except subprocess.TimeoutExpired:
-                    kill_group(pid)
-                    out, err = proc.communicate()
-                    timed_out = True
+        if stdin is not None:
+            try:
+                out, err = proc.communicate(stdin.encode(encoding), timeout)
+            except subprocess.TimeoutExpired:
+                kill_group(pid)
+                out, err = proc.communicate()
+                timed_out = True
+            returncode = proc.returncode
+        elif proc is not None:
+            out, err, timed_out = _collect(proc, out_r, err_r, timeout, stream, encoding)
             returncode = proc.returncode
         else:
             assert reaper is not None, "the posix_spawn leg needs a reaper"

@@ -8,6 +8,8 @@ here on each of the two reaper owners.
 """
 
 import itertools
+import os
+import threading
 import time
 
 import pytest
@@ -30,6 +32,22 @@ pytestmark = pytest.mark.skipif(
 )
 
 MIXED = "echo out; echo err >&2; exit 3"
+#: command → the outcome every leg must give.
+CASES = {
+    MIXED: (3, b"out\n", b"err\n", False),
+    # 1 MiB of stdout, well past the 64 KiB pipe buffer, in 16 numbered
+    # 64 KiB lines with a stderr line after each.
+    ('i=0; while [ $i -lt 16 ]; do printf "%065535d\\n" $i; '
+     'echo "err $i" >&2; i=$((i+1)); done; exit 3'): (
+        3, b"".join(b"%065535d\n" % i for i in range(16)),
+        b"".join(b"err %d\n" % i for i in range(16)), False),
+    # Reopening fd 1 or 2 by name, truncating or appending, loses nothing.
+    ("echo a; echo b >/dev/stdout; echo c >>/dev/stdout; "
+     "echo e1 >/dev/stderr; echo e2 >/dev/stderr"): (
+        0, b"a\nb\nc\n", b"e1\ne2\n", False),
+    # A backgrounded grandchild still holding stdout keeps the job open.
+    "(sleep 0.3; echo late) & echo early": (0, b"early\nlate\n", b"", False),
+}
 
 
 @pytest.fixture
@@ -44,22 +62,36 @@ def _outcome(done):
     return done.returncode, done.stdout, done.stderr, done.timed_out
 
 
-# ------------------------------------------------------------------- legs
-def test_every_leg_gives_the_same_outcome(posix, tmp_path):
+def _legs(posix, **extra):
+    """run_command keywords for each leg, by name."""
     launcher, reapers = posix
-    table = ProcessTable()
-    streamed = []
-    legs = {
+    return {
         "posix": dict(launcher=launcher, reaper=reapers.get()),
-        "no launcher": {},
-        "cwd": dict(launcher=launcher, cwd=str(tmp_path)),
+        "popen": {},
+        "cwd": dict(launcher=launcher, cwd=os.getcwd()),
         "stdin": dict(launcher=launcher, stdin=""),
-        "stream": dict(launcher=launcher, stream=streamed.append),
+        "stream": dict(launcher=launcher, stream=lambda _text: None),
+        **extra,
     }
-    outcomes = {name: _outcome(run_command(MIXED, table=table, **kw))
-                for name, kw in legs.items()}
-    assert set(outcomes.values()) == {(3, b"out\n", b"err\n", False)}
-    assert streamed == ["out\n"]
+
+
+# ------------------------------------------------------------------- legs
+def test_every_leg_gives_the_same_outcome(posix):
+    table = ProcessTable()
+    for command, expected in CASES.items():
+        streamed = []
+        legs = _legs(posix, stream=dict(stream=streamed.append))
+        outcomes = {name: _outcome(run_command(command, table=table, **kw))
+                    for name, kw in legs.items()}
+        assert outcomes == dict.fromkeys(legs, expected), command
+        assert "".join(streamed).encode() == expected[1]
+
+
+@pytest.mark.parametrize("leg", ["popen", "stream"])
+def test_poll_loop_takes_a_timeout_longer_than_one_poll(posix, leg):
+    done = run_command(MIXED, table=ProcessTable(), timeout=1e9,
+                       **_legs(posix)[leg])
+    assert _outcome(done) == CASES[MIXED]
 
 
 def test_popen_leg_feeds_stdin_and_honours_cwd(tmp_path):
@@ -127,19 +159,32 @@ def test_timestamps_are_ordered(posix):
     assert done.pid > 0
 
 
-@pytest.mark.parametrize("leg", ["posix", "popen", "stream"])
+@pytest.mark.parametrize("leg", ["posix", "popen", "stdin", "stream"])
 def test_timeout_kills_the_group(posix, leg):
-    launcher, reapers = posix
-    kw = {
-        "posix": dict(launcher=launcher, reaper=reapers.get()),
-        "popen": {},
-        "stream": dict(stream=lambda _text: None),
-    }[leg]
-    t0 = time.time()
-    done = run_command("sleep 30", table=ProcessTable(), timeout=0.2, **kw)
-    assert done.timed_out
-    assert done.returncode == -15
-    assert time.time() - t0 < 5
+    kw = _legs(posix)[leg]
+    # The shell itself, and a backgrounded grandchild that still holds
+    # stdout after the shell has exited: the SIGTERM reaches both.
+    for command, returncode in [("sleep 30", -15), ("sleep 30 & echo early", 0)]:
+        t0 = time.time()
+        done = run_command(command, table=ProcessTable(), timeout=0.2, **kw)
+        assert (done.timed_out, done.returncode) == (True, returncode)
+        assert time.time() - t0 < 5
+
+
+@pytest.mark.parametrize("leg", ["posix", "popen", "stdin", "stream"])
+def test_cancel_reaches_a_grandchild_holding_stdout(posix, leg):
+    # The shell exits at once, but the job stays in flight until its
+    # pipes close, so a cancel still finds and kills the grandchild.
+    table, done = ProcessTable(), []
+    kw = _legs(posix)[leg]
+    runner = threading.Thread(target=lambda: done.append(
+        run_command("sleep 30 & echo early", table=table, **kw)))
+    runner.start()
+    time.sleep(0.3)
+    assert table.kill_all() == 1
+    runner.join(5)
+    assert not runner.is_alive()
+    assert done[0].stdout == b"early\n"
 
 
 @pytest.mark.parametrize("leg", ["posix", "popen"])
@@ -154,6 +199,15 @@ def test_spawn_failure_raises_oserror(posix, leg, tmp_path):
     finally:
         if launcher is not None:
             launcher.close()
+    if leg == "popen":
+        # The pipes exist before the spawn: neither a missing shell nor a
+        # vanished cwd (LocalTransport's dead-host case) leaks them.
+        fails = [dict(shell=missing), dict(cwd=str(tmp_path / "gone"))]
+        before = len(os.listdir("/proc/self/fd"))
+        for kw in fails * 25:
+            with pytest.raises(OSError):
+                run_command("true", table=ProcessTable(), **kw)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_cancel_before_registration_still_kills(posix):
