@@ -5,17 +5,20 @@ Parallel does (fork + exec via the shell), with output capture, timeouts,
 working-directory and niceness support, and kill-on-halt.
 
 Running a job is :func:`~repro.core.backends.spawn.run_command`, which
-picks its leg (``posix_spawn`` + shared pipe reaper, or ``Popen``) from
-its inputs; this backend decides those inputs once per run and maps the
-outcome to a :class:`~repro.core.job.JobResult`.  In-process jobs take
-the Popen leg: ``os.posix_spawn`` holds the GIL through vfork→exec, so
-the ``-j`` slot threads would queue behind each other's spawns, while
-Popen lets them overlap.  The slot thread reads the job's two pipes
-itself, handing stdout on at each newline for ``--linebuffer``.  A
-launcher (the posix leg) is built only for an explicit ``--spawn-path
-posix``; ``--wd``, ``--pipe``, ``--linebuffer`` and a platform without
-``posix_spawn`` never build one.  The ``hthpc`` benchmark measures what
-the posix leg costs over a bare spawn (``spawn_layer_overhead_us``) and against the Popen leg
+picks its leg (``posix_spawn`` + shared pipe reaper, or ``fork_exec``)
+from its inputs; this backend decides those inputs once per run and
+maps the outcome to a :class:`~repro.core.job.JobResult`.  In-process
+jobs take the ``fork_exec`` leg (``--spawn-path popen`` names it):
+``os.posix_spawn`` holds the GIL through vfork→exec, so the ``-j`` slot
+threads would queue behind each other's spawns, while ``fork_exec``
+lets them overlap.  The slot thread feeds the job's stdin (``--pipe``)
+and reads its two output pipes itself, handing stdout on at each
+newline for ``--linebuffer``.  A launcher (the posix leg) is built only
+for an explicit ``--spawn-path posix``; ``--wd``, ``--pipe``,
+``--linebuffer`` and a platform without ``posix_spawn`` never build
+one, and only a run that could use the posix leg probes for it.  The
+``hthpc`` benchmark measures what the posix leg costs over a bare spawn
+(``spawn_layer_overhead_us``) and against the ``fork_exec`` leg
 (``run_job_us_posix``/``run_job_us_popen``); see DESIGN.md, "Dispatch
 overhead anatomy".
 
@@ -39,9 +42,9 @@ import shutil
 import tempfile
 import threading
 import time
+from typing import TYPE_CHECKING
 
 from repro.core.backends.base import Backend
-from repro.core.backends.pool import DispatcherPool
 from repro.core.backends.spawn import (
     Completed,
     LiveReaper,
@@ -54,6 +57,9 @@ from repro.core.backends.spawn import (
 )
 from repro.core.job import Job, JobResult, JobState
 from repro.core.options import TMPDIR_WORKDIR, Options
+
+if TYPE_CHECKING:  # imported when a pool is built: it pulls in multiprocessing
+    from repro.core.backends.pool import DispatcherPool
 
 __all__ = ["LocalShellBackend"]
 
@@ -79,7 +85,7 @@ class LocalShellBackend(Backend):
         #: Lazily-created ``--wd ...`` per-run tempdir, removed in close().
         self._tmp_workdir: str | None = None
         #: posix_spawn leg state: a launcher built per run (None = the run
-        #: takes the Popen leg) and the shared reaper it feeds.
+        #: takes the fork_exec leg) and the shared reaper it feeds.
         self._launcher: SpawnLauncher | None = None
         self._reapers = LiveReaper()
         #: Sharded dispatch state (``--dispatchers N``, N > 1): worker
@@ -95,12 +101,16 @@ class LocalShellBackend(Backend):
 
     def _setup_spawn_path(self, options: Options) -> None:
         """Decide the spawn path for this run and build its machinery."""
+        n_disp = options.effective_dispatchers()
+        # Only an explicit --spawn-path posix and the shard workers use
+        # the posix leg, so a default run never pays for the probe spawn.
         posix = (
-            options.spawn_path != "popen"
-            and spawn_supported()
+            (options.spawn_path == "posix"
+             or (n_disp > 1 and options.spawn_path == "auto"))
             and options.workdir is None  # posix_spawn has no cwd attribute
             and not options.pipe_mode  # every job carries stdin
             and not options.linebuffer  # stdout streams from the slot thread
+            and spawn_supported()
         )
         if self._pool is not None:
             # A previous run's pool: dispatcher count or options changed,
@@ -111,14 +121,15 @@ class LocalShellBackend(Backend):
         if self._launcher is not None:
             self._launcher.close()
         # In-process jobs (and those a dead pool hands back) take the
-        # Popen leg unless the posix leg was asked for.
+        # fork_exec leg unless the posix leg was asked for.
         self._launcher = (
             SpawnLauncher(self.shell, env=self._run_env)
             if posix and options.spawn_path == "posix" else None
         )
         # Workers only have the posix_spawn leg.
-        n_disp = options.effective_dispatchers()
         if n_disp > 1 and posix:
+            from repro.core.backends.pool import DispatcherPool
+
             self._pool = DispatcherPool(
                 n_disp,
                 shell=self.shell,
@@ -241,9 +252,9 @@ class LocalShellBackend(Backend):
                 JobState.FAILED,
             )
         if self._tracer is not None:
-            # The reap span is collection: on the Popen leg a blocking
-            # read of both pipes and the wait, so both legs' spans
-            # include the job's runtime.
+            # The reap span is collection: on the fork_exec leg the
+            # poll loop over the job's pipes and the wait, so both legs'
+            # spans include the job's runtime.
             path = "posix" if posix else "popen"
             self._tracer.span(
                 "spawn", done.start, done.spawned, seq=job.seq, slot=slot,

@@ -1,8 +1,7 @@
 """Shared pipe reaper: one ``selectors`` loop multiplexing every job's I/O.
 
-The Popen leg dedicates the calling worker thread to each job's
-``communicate()`` — a per-job selector setup, per-job read loop, per-job
-``waitpid``.  The reaper amortizes all of that into a single background
+The fork_exec leg dedicates the calling worker thread to each job's
+``poll`` loop and ``waitpid``.  The reaper amortizes all of that into a single background
 thread: workers register a spawned pid plus its stdout/stderr read fds and
 block on a per-job event; the reaper drains every registered pipe through
 one ``selectors.DefaultSelector``, collects exit statuses, and wakes the
@@ -30,7 +29,7 @@ monkeypatching ``os.pidfd_open``.
 Semantics match ``Popen.communicate()``: completion means *EOF on both
 pipes and the child reaped* — a job that backgrounds a grandchild holding
 the pipe open is still "running" until that write end closes, exactly as
-on the Popen path.  The pidfd leg preserves this: a collected exit status
+on the fork_exec leg.  The pidfd leg preserves this: a collected exit status
 is held until both pipes close.
 """
 

@@ -2,22 +2,25 @@
 
 Every layer that runs a shell command — the local backend, the shard
 workers, the remote transport — goes through this module; nothing else
-in the package calls ``subprocess.Popen``,
-``os.posix_spawn``, ``os.killpg`` or ``os.setpriority``
-(``tests/test_spawn_sites.py`` enforces it).
+in the package calls ``fork_exec``, ``os.posix_spawn``, ``os.killpg``
+or ``os.setpriority``, and nothing at all calls ``subprocess.Popen``
+(``tests/test_spawn_sites.py`` enforces both).
 
 Two ways to start a job, measured on CPython 3.11:
 
-``subprocess.Popen(start_new_session=True)``
-    Takes CPython's vfork path (its spawn cost stays flat as the
-    parent's resident memory grows) and releases the GIL while the
-    child execs, so concurrent ``-j`` slot threads spawn side by side.
-    The job's stdout and stderr are two pipes handed to Popen as raw
-    fds, so it wraps no file objects around them, and the calling
-    thread reads both with one ``poll`` loop (:func:`_collect`), which
-    also hands stdout on at each newline for ``--linebuffer``.  A job
-    with per-job stdin keeps ``communicate()``.  The default for
-    in-process jobs, and the leg for ``LocalTransport``.
+``_posixsubprocess.fork_exec`` (:func:`_launch`)
+    The primitive ``subprocess.Popen`` wraps, called with the arguments
+    Popen passes it for ``start_new_session=True`` but without building
+    a Popen object.  It takes CPython's vfork path (its spawn cost stays
+    flat as the parent's resident memory grows) and releases the GIL
+    while the child execs, so concurrent ``-j`` slot threads spawn side
+    by side.  The job's stdout and stderr are two pipes, plus a stdin
+    pipe for per-job stdin, and the calling thread serves all of them
+    with one ``poll`` loop (:func:`_collect`), which also hands stdout on
+    at each newline for ``--linebuffer``, then reaps the job with
+    ``os.waitpid``.  The default for in-process jobs, and the leg for
+    ``LocalTransport``; ``--spawn-path popen`` and the ``popen`` span
+    label still name it.
 
 :class:`SpawnLauncher`
     One ``os.posix_spawn`` call per job with ``POSIX_SPAWN_SETSID`` for
@@ -36,12 +39,14 @@ timeout, kill and ``--nice`` handling every caller shares.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import select
 import signal
-import subprocess
+import sys
 import threading
 import time
+from _posixsubprocess import fork_exec
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -305,49 +310,112 @@ class Completed:
     timed_out: bool = False
 
 
-#: Read-only ``/dev/null`` shared as stdin by every :func:`_popen_pipes`
-#: job, opened once per process: ``subprocess.DEVNULL`` would open and
-#: close it for each job.
+#: Read-only ``/dev/null`` shared as stdin by every :func:`_launch` job
+#: without per-job stdin, opened once per process.
 _devnull: "int | None" = None
 
+#: ``fork_exec``'s trailing arguments as ``Popen._execute_child`` passes
+#: them with no user, group, umask or preexec_fn.  CPython 3.11–3.13 take
+#: ``process_group, gid, gids, uid, umask, preexec_fn, allow_vfork``;
+#: 3.10 has neither ``process_group`` nor ``allow_vfork`` (it picks
+#: vfork itself).
+if sys.version_info >= (3, 11):
+    _FORK_EXEC_TAIL: tuple = (-1, None, None, None, -1, None, True)
+else:  # pragma: no cover - exercised by the 3.10 CI job
+    _FORK_EXEC_TAIL = (None, None, None, -1, None)
 
-def _popen_pipes(
-    argv: "list[str]", cwd: "str | None", env: "dict[str, str] | None"
-) -> "tuple[subprocess.Popen, int, int]":
-    """Start one job with Popen; returns ``(proc, stdout_read_fd,
-    stderr_read_fd)``.
 
-    stdin is the shared ``/dev/null``; stdout and stderr are two fresh
-    pipes handed to Popen as raw fds, so it wraps no file objects around
-    them, and the caller owns the read ends.  Raises ``OSError`` when
-    the spawn fails, with all four pipe ends closed.
+def _env_list(env: "dict[str, str] | None") -> "list[bytes] | None":
+    """``env`` as the ``KEY=value`` vector ``fork_exec`` takes (None =
+    inherit); a key holding ``=`` raises ``ValueError``, as in Popen."""
+    if env is None:
+        return None
+    vector = []
+    for key, value in env.items():
+        key = os.fsencode(key)
+        if b"=" in key:
+            raise ValueError("illegal environment variable name")
+        vector.append(key + b"=" + os.fsencode(value))
+    return vector
+
+
+def _exec_error(report: bytes, shell: str, cwd: "str | None") -> OSError:
+    """The child's exec-error report → the ``OSError`` Popen raises.
+
+    The report reads ``OSError:<hex errno>:<message>``; a message starting
+    ``noexec`` (3.13 writes ``noexec:chdir``) means the child failed
+    before exec, in ``chdir(cwd)``, so the error names ``cwd`` instead of
+    the shell.
+    """
+    _, hex_errno, message = report.split(b":", 2)
+    errno_num = int(hex_errno, 16)
+    filename = cwd if message.startswith(b"noexec") else shell
+    return OSError(errno_num, os.strerror(errno_num), filename)
+
+
+def _launch(
+    argv: "list[str]", cwd: "str | None", env: "dict[str, str] | None",
+    stdin: bool,
+) -> "tuple[int, int, int, int]":
+    """Start one job; returns ``(pid, stdout_read_fd, stderr_read_fd,
+    stdin_write_fd)``, the last -1 unless ``stdin``.
+
+    ``_posixsubprocess.fork_exec`` with what ``Popen._execute_child``
+    passes it for ``start_new_session=True``: ``close_fds``, setsid,
+    ``restore_signals`` and vfork allowed.  stdin is the shared
+    ``/dev/null``, or a fresh pipe when ``stdin``; stdout and stderr are
+    fresh pipes; the caller owns the parent's ends.  A failed exec or
+    ``chdir`` raises the ``OSError`` Popen would, after the child is
+    reaped and every pipe end closed; an ``=`` in an ``env`` key raises
+    ``ValueError`` before any pipe exists.
     """
     global _devnull
+    env_list = _env_list(env)
+    executable = os.fsencode(argv[0])
+    if os.path.dirname(executable):
+        executables: tuple = (executable,)
+    else:
+        executables = tuple(os.path.join(os.fsencode(d), executable)
+                            for d in os.get_exec_path(env))
     if _devnull is None:
         with _probe_lock:
             if _devnull is None:
                 _devnull = os.open(os.devnull, os.O_RDONLY)
+    in_r, in_w = os.pipe() if stdin else (_devnull, -1)
     out_r, out_w = os.pipe()
     err_r, err_w = os.pipe()
+    # The child's exec error comes back on this pipe; its write end must
+    # not sit on fds 0-2, which the child's dup2s overwrite.
+    report_r, report_w = os.pipe()
+    if report_w < 3:
+        low, report_w = report_w, fcntl.fcntl(report_w, fcntl.F_DUPFD_CLOEXEC, 3)
+        os.close(low)
+    child_ends = [out_w, err_w, report_w] + ([in_r] if stdin else [])
     try:
-        proc = subprocess.Popen(
-            argv,
-            stdin=_devnull,
-            stdout=out_w,
-            stderr=err_w,
-            cwd=cwd,
-            env=env,
-            # setsid in the child: the job tree is one killable group.
-            start_new_session=(os.name == "posix"),
-        )
+        try:
+            pid = fork_exec(
+                argv, executables, True, (report_w,), cwd, env_list,
+                in_r, -1, -1, out_w, -1, err_w, report_r, report_w,
+                True, True, *_FORK_EXEC_TAIL,
+            )
+        finally:
+            for fd in child_ends:
+                os.close(fd)
+        # EOF at exec (the write end is CLOEXEC), or the child's report.
+        report = b""
+        while part := os.read(report_r, 50000):
+            report += part
+        if report:
+            os.waitpid(pid, 0)
+            raise _exec_error(report, argv[0], cwd)
     except BaseException:
-        os.close(out_r)
-        os.close(err_r)
+        for fd in (out_r, err_r, in_w):
+            if fd >= 0:
+                os.close(fd)
         raise
     finally:
-        os.close(out_w)
-        os.close(err_w)
-    return proc, out_r, err_r
+        os.close(report_r)
+    return pid, out_r, err_r, in_w
 
 
 #: Longest wait one ``poll`` call takes (a C int of ms); a longer timeout
@@ -355,23 +423,47 @@ def _popen_pipes(
 _POLL_MAX_MS = 2**31 - 1
 
 
+def _reap(pid: int, deadline: "float | None") -> "int | None":
+    """``os.waitpid`` the job: blocking without a deadline, else the
+    bounded sleep loop ``Popen.wait(timeout)`` uses; returns the wait
+    status, or None once ``deadline`` passes with the job still running."""
+    if deadline is None:
+        return os.waitpid(pid, 0)[1]
+    delay = 0.0005
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return status
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        delay = min(delay * 2, remaining, 0.05)
+        time.sleep(delay)
+
+
 def _collect(
-    proc: subprocess.Popen,
+    pid: int,
     out_r: int,
     err_r: int,
     timeout: "float | None",
     stream: "Callable[[str], None] | None" = None,
     encoding: str = "utf-8",
-) -> "tuple[bytes, bytes, bool]":
-    """Read the job's stdout and stderr pipes to EOF, then reap it;
-    returns ``(stdout, stderr, timed_out)`` and closes both read ends.
+    in_w: int = -1,
+    data: bytes = b"",
+) -> "tuple[int, bytes, bytes, bool]":
+    """Feed ``data`` to the job's stdin, read its stdout and stderr pipes
+    to EOF, then reap it; returns ``(returncode, stdout, stderr,
+    timed_out)`` and closes every pipe end it was given.
 
-    One ``poll`` loop on the two fds, in the calling thread.  A pipe that
-    reports hang-up without data is at EOF and costs no read, so a job
-    that writes nothing is collected with one ``poll`` and one
-    ``waitpid``.  At ``timeout`` the group is killed and collection
-    drains on; if ``stream`` raises, the job is killed and still reaped
-    before the error propagates.
+    One ``poll`` loop on the (up to) three fds, in the calling thread.
+    stdin is written through the non-blocking ``in_w`` and closed once
+    ``data`` is out; a job that exits without reading it (EPIPE) is not
+    an error, as with ``communicate()``.  A pipe that reports hang-up
+    without data is at EOF and costs no read, so a job that writes
+    nothing is collected with one ``poll`` and one ``waitpid``.  At
+    ``timeout`` the group is killed, stdin dropped, and collection drains
+    on; if ``stream`` raises, the job is killed and still reaped before
+    the error propagates.  No path leaves the job unreaped.
 
     With ``stream``, stdout is also handed on at each ``\\n``.  Chunks
     end at ``\\n``, so neither a UTF-8 sequence nor a ``\\r\\n`` pair is
@@ -389,15 +481,41 @@ def _collect(
     poller = select.poll()
     poller.register(out_r, select.POLLIN)
     poller.register(err_r, select.POLLIN)
-    live, sent, timed_out = 2, 0, False
+    live, sent, fed, timed_out, status = 2, 0, 0, False, None
+
+    def close_stdin() -> None:
+        nonlocal in_w
+        if in_w >= 0:
+            poller.unregister(in_w)
+            os.close(in_w)
+            in_w = -1
+
+    if in_w >= 0:
+        if data:
+            os.set_blocking(in_w, False)
+            poller.register(in_w, select.POLLOUT)
+        else:  # nothing to feed: the job reads EOF at once
+            os.close(in_w)
+            in_w = -1
+    view = memoryview(data)
     try:
-        while live:
+        while live or in_w >= 0:
             if left() == 0:
-                kill_group(proc.pid)
+                kill_group(pid)
+                close_stdin()
                 timed_out, deadline = True, None
+                continue
             wait = left()
             for fd, event in poller.poll(None if wait is None
                                          else min(wait * 1000, _POLL_MAX_MS)):
+                if fd == in_w:
+                    try:
+                        fed += os.write(in_w, view[fed:fed + _CHUNK])
+                    except BrokenPipeError:
+                        fed = len(data)  # the job stopped reading
+                    if fed >= len(data):
+                        close_stdin()
+                    continue
                 chunk = os.read(fd, _CHUNK) if event & select.POLLIN else b""
                 if not chunk:
                     poller.unregister(fd)
@@ -411,17 +529,17 @@ def _collect(
                     sent = end
         if stream is not None and sent < len(out):
             stream(decode_output(bytes(out[sent:]), encoding, "replace"))
-        try:  # both pipes closed; the deadline still covers the exit
-            proc.wait(left())
-        except subprocess.TimeoutExpired:
-            timed_out = True
+        # All pipes closed; the deadline still covers the exit.
+        status = _reap(pid, deadline)
+        timed_out = timed_out or status is None
     finally:
-        if proc.returncode is None:  # timed out, or ``stream`` raised
-            kill_group(proc.pid)
-        os.close(out_r)
-        os.close(err_r)
-        proc.wait()
-    return bytes(out), bytes(err), timed_out
+        for fd in (out_r, err_r, in_w):
+            if fd >= 0:
+                os.close(fd)
+        if status is None:  # timed out, or ``stream`` raised
+            kill_group(pid)
+            status = os.waitpid(pid, 0)[1]
+    return os.waitstatus_to_exitcode(status), bytes(out), bytes(err), timed_out
 
 
 def run_command(
@@ -452,46 +570,34 @@ def run_command(
     ======================  ===========  ==================================
     inputs                  leg          why
     ======================  ===========  ==================================
-    ``stdin``               Popen +      ``communicate()`` feeds per-job
-                            communicate  stdin (``--pipe``)
     ``launcher`` (and no    posix_spawn  argv/env pre-built per run; output
-    cwd or stream)          + reaper     multiplexed by ``reaper``
+    cwd, stdin or stream)   + reaper     multiplexed by ``reaper``
                                          (``--spawn-path posix``)
-    anything else           Popen +      the in-process default: Popen
-                            poll loop    releases the GIL across
-                                         vfork→exec; :func:`_collect`
-                                         reads the two raw pipe fds in
-                                         this thread, handing stdout to
-                                         ``stream`` (``--linebuffer``);
+    anything else           fork_exec +  the in-process default ("popen"):
+                            poll loop    ``fork_exec`` releases the GIL
+                                         across vfork→exec;
+                                         :func:`_collect` feeds ``stdin``
+                                         (``--pipe``) and reads the two
+                                         output pipes in this thread,
+                                         handing stdout to ``stream``
+                                         (``--linebuffer``);
                                          ``posix_spawn`` has no cwd
     ======================  ===========  ==================================
 
     On every leg a job is open until every writer has closed its pipes,
     so a backgrounded grandchild still holding stdout keeps it running.
-    The Popen leg runs in bytes mode with ``shell``, ``env`` (None =
+    The fork_exec leg runs in bytes mode with ``shell``, ``env`` (None =
     inherit) and ``stdin`` encoded with ``encoding``.  ``reaper`` must
     come from a :class:`LiveReaper`; if it closes between that pick and
     registration, the job is collected by :func:`wait_inline` and
     reports :data:`REAPER_GONE` on stderr.
     """
     start = time.time()
-    argv = [shell, "-c", command]
-    proc = None
-    if stdin is not None:
-        proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            cwd=cwd,
-            env=env,
-            # setsid in the child: the job tree is one killable group.
-            start_new_session=(os.name == "posix"),
-        )
-        pid = proc.pid
-    elif launcher is None or cwd is not None or stream is not None:
-        proc, out_r, err_r = _popen_pipes(argv, cwd, env)
-        pid = proc.pid
+    forked = launcher is None or cwd is not None or stdin is not None or stream is not None
+    if forked:
+        data = b"" if stdin is None else stdin.encode(encoding)
+        pid, out_r, err_r, in_w = _launch([shell, "-c", command], cwd, env,
+                                          stdin is not None)
     else:
         pid, out_r, err_r = launcher.spawn(command)
     spawned = time.time()
@@ -499,17 +605,9 @@ def run_command(
     table.add(pid)
     timed_out = False
     try:
-        if stdin is not None:
-            try:
-                out, err = proc.communicate(stdin.encode(encoding), timeout)
-            except subprocess.TimeoutExpired:
-                kill_group(pid)
-                out, err = proc.communicate()
-                timed_out = True
-            returncode = proc.returncode
-        elif proc is not None:
-            out, err, timed_out = _collect(proc, out_r, err_r, timeout, stream, encoding)
-            returncode = proc.returncode
+        if forked:
+            returncode, out, err, timed_out = _collect(
+                pid, out_r, err_r, timeout, stream, encoding, in_w, data)
         else:
             assert reaper is not None, "the posix_spawn leg needs a reaper"
             try:

@@ -105,10 +105,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="stream each job's output line-by-line as it is "
                         "produced (lines from different jobs may interleave)")
     # Engine extension: which process-spawn implementation the local
-    # backend uses (posix_spawn + pipe reaper vs. subprocess.Popen).
+    # backend uses (posix_spawn + pipe reaper vs. Popen's fork_exec).
     p.add_argument("--spawn-path", default="auto", dest="spawn_path",
                    choices=("auto", "posix", "popen"),
-                   help="local process-spawn path: auto (default; Popen "
+                   help="local process-spawn path: auto (default; fork_exec "
                         "in-process, posix_spawn in --dispatchers shards), "
                         "posix (posix_spawn in-process too, except for "
                         "--wd, --pipe and --linebuffer), or popen (popen "

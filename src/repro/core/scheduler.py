@@ -40,7 +40,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.core.backends.base import Backend
 from repro.core.inputs import ArgGroup, ceil_div, normalize, shuffled
@@ -53,7 +53,9 @@ from repro.core.results import ResultsWriter, retention_buffer
 from repro.core.runstats import StreamingMedian
 from repro.core.slots import SlotPool
 from repro.core.template import CommandTemplate
-from repro.obs.tracer import RunTracer
+
+if TYPE_CHECKING:  # imported under --trace/--metrics only
+    from repro.obs.tracer import RunTracer
 
 __all__ = ["run_scheduler"]
 
@@ -291,6 +293,8 @@ def run_scheduler(
     # `is not None` test per job stage when tracing is off.
     tracer: Optional[RunTracer] = options.tracer  # type: ignore[assignment]
     if tracer is None and (options.trace or options.metrics):
+        from repro.obs.tracer import RunTracer
+
         tracer = RunTracer.from_options(options)
 
     # The tracer binds before prepare_run so machinery the backend starts

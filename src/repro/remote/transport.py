@@ -32,8 +32,8 @@ The transport is the session
 A transport holds the per-host session state GNU Parallel gets from one
 ssh ControlMaster per host, and pays for it once instead of per job:
 :class:`LocalTransport` merges the environment once per ``env`` mapping
-and runs each job with one ``run_command`` call, Popen with ``cwd=``
-the host workdir; :class:`SimTransport` charges a host's connect
+and runs each job with one ``run_command`` call on its ``fork_exec``
+leg, with ``cwd=`` the host workdir; :class:`SimTransport` charges a host's connect
 latency at its first execute only.  The remote backend calls the
 transport directly, so a wrapper transport (fault injection) sits on
 exactly the path production takes.
@@ -219,7 +219,7 @@ class LocalTransport(Transport):
         if self._table.cancelled.is_set():
             return ExecResult(exit_code=-1, stderr="cancelled")
         try:
-            # A vanished workdir fails Popen's chdir: a host-level error.
+            # A vanished workdir fails the child's chdir: a host-level error.
             done = run_command(
                 command, table=self._table, shell=self.shell, cwd=workdir,
                 stdin=stdin, env=self._merged_env(env),

@@ -7,14 +7,19 @@ dead-reaper rule — a fresh ``PipeReaper`` for the next job — is forced
 here on each of the two reaper owners.
 """
 
+import errno
 import itertools
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import Parallel
+from repro.core.backends import spawn
 from repro.core.backends.pool import DispatcherPool
 from repro.core.backends.reaper import PipeReaper
 from repro.core.backends.spawn import (
@@ -87,7 +92,7 @@ def test_every_leg_gives_the_same_outcome(posix):
         assert "".join(streamed).encode() == expected[1]
 
 
-@pytest.mark.parametrize("leg", ["popen", "stream"])
+@pytest.mark.parametrize("leg", ["popen", "stream", "stdin"])
 def test_poll_loop_takes_a_timeout_longer_than_one_poll(posix, leg):
     done = run_command(MIXED, table=ProcessTable(), timeout=1e9,
                        **_legs(posix)[leg])
@@ -151,6 +156,18 @@ def test_stream_raising_still_reaps_the_job():
     assert table.kill_all() == 0  # and no longer in flight
 
 
+def test_smoke_script_passes():
+    # The plain-Python check each interpreter version runs (fork_exec's
+    # argument list is per-version); here under the suite's interpreter.
+    script = Path(__file__).resolve().parents[1] / "spawn_smoke.py"
+    src = str(Path(spawn.__file__).resolve().parents[3])
+    result = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_timestamps_are_ordered(posix):
     launcher, reapers = posix
     done = run_command("true", table=ProcessTable(), launcher=launcher,
@@ -187,27 +204,98 @@ def test_cancel_reaches_a_grandchild_holding_stdout(posix, leg):
     assert done[0].stdout == b"early\n"
 
 
-@pytest.mark.parametrize("leg", ["posix", "popen"])
+@pytest.mark.parametrize("leg", ["posix", "popen", "stream", "stdin"])
 def test_spawn_failure_raises_oserror(posix, leg, tmp_path):
-    _, reapers = posix
-    missing = str(tmp_path / "no-such-shell")
-    launcher = SpawnLauncher(missing) if leg == "posix" else None
-    try:
-        with pytest.raises(OSError):
-            run_command("true", table=ProcessTable(), launcher=launcher,
-                        reaper=reapers.get(), shell=missing)
-    finally:
-        if launcher is not None:
-            launcher.close()
-    if leg == "popen":
-        # The pipes exist before the spawn: neither a missing shell nor a
-        # vanished cwd (LocalTransport's dead-host case) leaks them.
-        fails = [dict(shell=missing), dict(cwd=str(tmp_path / "gone"))]
-        before = len(os.listdir("/proc/self/fd"))
-        for kw in fails * 25:
+    missing, gone = str(tmp_path / "no-such-shell"), str(tmp_path / "gone")
+    if leg == "posix":
+        launcher = SpawnLauncher(missing)
+        try:
             with pytest.raises(OSError):
-                run_command("true", table=ProcessTable(), **kw)
-        assert len(os.listdir("/proc/self/fd")) == before
+                run_command("true", table=ProcessTable(), launcher=launcher,
+                            reaper=posix[1].get(), shell=missing)
+        finally:
+            launcher.close()
+        return
+    kw = _legs(posix)[leg]
+    # errno and filename as Popen reported them: the missing shell, or
+    # the cwd the child could not enter (LocalTransport's dead host).
+    fails = [(dict(shell=missing), missing), (dict(cwd=gone), gone)]
+    for fail, filename in fails:
+        with pytest.raises(OSError) as caught:
+            run_command("true", table=ProcessTable(), **fail, **kw)
+        assert (caught.value.errno, caught.value.filename) == (errno.ENOENT, filename)
+    # The pipes exist before the spawn: no failure leaks them.
+    before = set(os.listdir("/proc/self/fd"))
+    for fail, _ in fails * 25:
+        with pytest.raises(OSError):
+            run_command("true", table=ProcessTable(), **fail, **kw)
+    assert set(os.listdir("/proc/self/fd")) == before
+
+
+def test_env_key_with_an_equals_sign_raises_before_any_fork(monkeypatch):
+    def fork_exec(*_args):
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(spawn, "fork_exec", fork_exec)
+    before = set(os.listdir("/proc/self/fd"))
+    for kw in ({}, dict(stdin="x"), dict(stream=lambda _text: None)):
+        with pytest.raises(ValueError, match="illegal environment variable name"):
+            run_command("true", table=ProcessTable(), env={"A=B": "x"}, **kw)
+    assert set(os.listdir("/proc/self/fd")) == before
+
+
+#: Every way a fork_exec job can end early, in a fresh interpreter whose
+#: only children are these jobs: afterwards none is left, not even a
+#: zombie, so ``waitpid(-1)`` finds no child at all.
+NO_CHILD_LEFT = r"""
+import os, threading, time
+from repro.core.backends.spawn import ProcessTable, run_command
+
+def no_child_left(case):
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child is left after {case}")
+
+def broken(_text):
+    raise RuntimeError("sink failed")
+
+for leg, kw in [("popen", {}), ("stdin", {"stdin": "x" * 200000}),
+                ("stream", {"stream": lambda _text: None})]:
+    run_command("sleep 30", table=ProcessTable(), timeout=0.1, **kw)
+    no_child_left(f"{leg}: timeout")
+    for fail in ({"shell": "/no/such/shell"}, {"cwd": "/no/such/dir"}):
+        try:
+            run_command("true", table=ProcessTable(), **fail, **kw)
+        except OSError:
+            pass
+        no_child_left(f"{leg}: exec failure {fail}")
+    table = ProcessTable()
+    runner = threading.Thread(target=run_command, args=("sleep 30",),
+                              kwargs=dict(table=table, **kw))
+    runner.start()
+    time.sleep(0.2)
+    table.kill_all()
+    runner.join(5)
+    assert not runner.is_alive(), f"{leg}: cancel did not end the job"
+    no_child_left(f"{leg}: cancel")
+try:
+    run_command("echo first; sleep 30", table=ProcessTable(), stream=broken)
+except RuntimeError:
+    pass
+no_child_left("a raising stream")
+print("ok")
+"""
+
+
+def test_no_path_leaves_a_child_unreaped():
+    src = str(Path(spawn.__file__).resolve().parents[3])
+    result = subprocess.run(
+        [sys.executable, "-c", NO_CHILD_LEFT], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
 
 
 def test_cancel_before_registration_still_kills(posix):

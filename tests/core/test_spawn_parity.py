@@ -17,6 +17,7 @@ must reproduce the single-dispatcher byte stream exactly — including
 import pytest
 
 from repro import Parallel
+from repro.core.backends import local
 from repro.core.backends.local import LocalShellBackend
 from repro.core.backends.spawn import spawn_supported
 from repro.core.job import JobState
@@ -67,6 +68,24 @@ def test_spawn_path_routing_matrix():
                 assert backend.spawn_path == "popen", (mode, flags)
     finally:
         backend.close()
+
+
+def test_only_posix_leg_users_probe_posix_spawn(monkeypatch):
+    # spawn_supported() makes a real spawn; only --spawn-path posix and
+    # --dispatchers N can use its answer, so no other run may pay for it.
+    def probe():
+        raise AssertionError("spawn_supported() was called")
+
+    monkeypatch.setattr(local, "spawn_supported", probe)
+    for command, inputs, flags in [
+        ("echo {}", ["a", "b"], {}),
+        ("echo {}", ["a", "b"], {"workdir": "."}),
+        ("cat", ["a\n", "b\n"], {"pipe_mode": True}),
+        ("echo {}", ["a", "b"], {"linebuffer": True}),
+    ]:
+        summary, text = run_collect(command, inputs, jobs=2, keep_order=True,
+                                    **flags)
+        assert summary.ok and text == "a\nb\n", flags
 
 
 # ------------------------------------------------------------ output parity
@@ -143,6 +162,25 @@ def test_linebuffer_output_identical_to_buffered(flags):
         assert (JobState.RUNNING in states) is linebuffer
     assert outputs[True] == outputs[False]
     assert "a-2\n" in outputs[False] and "\r" not in outputs[False]
+
+
+def test_pipe_linebuffer_streams_the_fed_jobs_output():
+    # --pipe jobs are fed on the same poll loop that streams stdout, so
+    # --linebuffer reaches them too, with the same universal newlines.
+    outputs = {}
+    for linebuffer in (False, True):
+        states, chunks = [], []
+
+        def emit(res, text):
+            states.append(res.state)
+            chunks.append(text)
+
+        summary = Parallel("cat", output=emit, jobs=1, pipe_mode=True,
+                           linebuffer=linebuffer).run(["a-1\r\nb\r", "c-2\r\n"])
+        assert summary.ok
+        outputs[linebuffer] = "".join(chunks)
+        assert (JobState.RUNNING in states) is linebuffer
+    assert outputs[True] == outputs[False] == "a-1\nb\nc-2\n"
 
 
 def test_exit_codes_and_stderr_identical_across_paths():

@@ -1,0 +1,69 @@
+"""Plain-Python smoke run of every ``run_command`` leg; needs no pytest.
+
+``run_command`` launches through ``_posixsubprocess.fork_exec``, whose
+argument list differs between CPython versions, so run this under each
+interpreter the package supports::
+
+    PYTHONPATH=src python3.10 tests/spawn_smoke.py
+
+It prints one line per case and exits 1 if any outcome is wrong.
+"""
+
+from __future__ import annotations
+
+import errno
+import os
+import sys
+import tempfile
+
+from repro.core.backends.spawn import (
+    LiveReaper,
+    ProcessTable,
+    SpawnLauncher,
+    run_command,
+)
+
+MIXED = "echo out; echo err >&2; exit 3"
+
+
+def main() -> int:
+    launcher, reapers = SpawnLauncher(), LiveReaper()
+    workdir = os.path.realpath(tempfile.mkdtemp())
+    streamed: list[str] = []
+    # name → (command, run_command keywords, expected outcome)
+    cases = {
+        "posix": (MIXED, dict(launcher=launcher, reaper=reapers.get()),
+                  (3, b"out\n", b"err\n", False)),
+        "popen": (MIXED, {}, (3, b"out\n", b"err\n", False)),
+        "cwd": ("pwd", dict(cwd=workdir), (0, f"{workdir}\n".encode(), b"", False)),
+        "stdin": ("cat; exit 3", dict(stdin="a\nb\n"), (3, b"a\nb\n", b"", False)),
+        "stream": (MIXED, dict(stream=streamed.append), (3, b"out\n", b"err\n", False)),
+        "timeout": ("sleep 30", dict(timeout=0.2), (-15, b"", b"", True)),
+        "exec failure": ("true", dict(shell="/no/such/shell"),
+                         (errno.ENOENT, "/no/such/shell")),
+        "cwd failure": ("true", dict(cwd="/no/such/dir"),
+                        (errno.ENOENT, "/no/such/dir")),
+    }
+    failed = 0
+    try:
+        for name, (command, kw, expected) in cases.items():
+            try:
+                done = run_command(command, table=ProcessTable(), **kw)
+                got: tuple = (done.returncode, done.stdout, done.stderr, done.timed_out)
+            except OSError as exc:
+                got = (exc.errno, exc.filename)
+            if name == "stream" and "".join(streamed) != "out\n":
+                got += ("streamed", "".join(streamed))
+            ok = got == expected
+            failed += not ok
+            print(f"{'ok' if ok else 'FAIL':4} {name:12} {got!r}")
+    finally:
+        reapers.close()
+        launcher.close()
+        os.rmdir(workdir)
+    print(f"{sys.version.split()[0]}: {len(cases) - failed}/{len(cases)} ok")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

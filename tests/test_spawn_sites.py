@@ -4,7 +4,9 @@ Every layer that runs a subprocess goes through its ``run_command`` (or,
 for the shard workers, its launcher and helpers).  A second copy of
 spawn → collect → timeout → kill would grow its own kill-by-group, cancel
 race and ``--nice`` handling, so the calls that start or signal a job
-may appear nowhere else under ``src/``.
+may appear nowhere else under ``src/``.  ``run_command`` launches through
+``fork_exec`` itself, so the ``subprocess.Popen`` wrapper appears nowhere
+at all.
 
 The posix_spawn leg (``SpawnLauncher`` + ``LiveReaper``) is built only
 by its two remaining callers — the local backend under ``--spawn-path
@@ -19,7 +21,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 BACKENDS = SRC / "repro" / "core" / "backends"
 HOME = BACKENDS / "spawn.py"
-CALLS = ("subprocess.Popen(", "os.posix_spawn(", "os.killpg(", "os.setpriority(")
+CALLS = ("fork_exec(", "os.posix_spawn(", "os.killpg(", "os.setpriority(")
+WRAPPER = ("subprocess.Popen(",)
 POSIX_LEG = ("SpawnLauncher(", "LiveReaper(")
 POSIX_LEG_HOMES = {BACKENDS / name for name in ("spawn.py", "local.py", "pool.py")}
 
@@ -40,6 +43,11 @@ def test_spawn_calls_only_in_spawn_module():
     assert HOME.is_file()
     offenders = _offenders(CALLS, {HOME})
     assert not offenders, "spawn calls outside core/backends/spawn.py:\n" + "\n".join(offenders)
+
+
+def test_no_popen_anywhere():
+    offenders = _offenders(WRAPPER, set())
+    assert not offenders, "subprocess.Popen under src/:\n" + "\n".join(offenders)
 
 
 def test_posix_leg_built_only_by_its_callers():
