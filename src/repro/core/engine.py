@@ -53,9 +53,13 @@ class Parallel:
         :class:`LocalShellBackend` for command templates and
         :class:`CallableBackend` for callables.
     output:
-        A writable text stream for job output (e.g. ``sys.stdout``) or a
-        callback ``(JobResult, formatted_text) -> None``; None collects
-        results silently.
+        A writable text stream for job output (e.g. ``sys.stdout``),
+        which gets each job's text verbatim, or a callback
+        ``(JobResult, formatted_text) -> None``; None collects results
+        silently.  The output sink owns the text: with one, the records
+        in ``RunSummary.results`` keep ``stderr``, ``value``, args and
+        times but have ``stdout == ""``, so a long run does not hold
+        output it already printed.  Without one, ``stdout`` is kept.
     **option_fields:
         Any :class:`~repro.core.options.Options` field (``jobs``,
         ``keep_order``, ``halt``, ``retries``, ...).
@@ -237,10 +241,10 @@ class Parallel:
             return out
 
         def emit(result: JobResult, text: str) -> None:
+            # Verbatim, as GNU Parallel prints it: `parallel -k printf %s
+            # ::: a b c` prints `abc`, with no newline added.
             if text:
                 out.write(text)
-                if not text.endswith("\n"):
-                    out.write("\n")
             if result.stderr and out is sys.stdout:
                 sys.stderr.write(result.stderr)
 

@@ -31,6 +31,18 @@ __all__ = [
 JOBLOG_HEADER = "Seq\tHost\tStarttime\tJobRuntime\tSend\tReceive\tExitval\tSignal\tCommand"
 
 
+def _utf8_len(text: str) -> int:
+    """Byte length of ``text`` in UTF-8 without encoding ASCII text.
+
+    ``str.isascii`` reads a flag CPython keeps on every string, so the
+    common all-ASCII output is counted in O(1) instead of copied once
+    more just to be measured.
+    """
+    if text.isascii():
+        return len(text)
+    return len(text.encode("utf-8", "replace"))
+
+
 @dataclass(frozen=True)
 class JoblogEntry:
     """One parsed joblog line."""
@@ -104,8 +116,8 @@ class JoblogWriter:
                 result.host or "local",
                 f"{result.start_time:.3f}",
                 f"{result.runtime:.3f}",
-                str(len(result.stdout.encode("utf-8", "replace")) if result.stdout else 0),
-                str(len(result.stderr.encode("utf-8", "replace")) if result.stderr else 0),
+                str(_utf8_len(result.stdout)),
+                str(_utf8_len(result.stderr)),
                 str(result.exit_code),
                 "0",
                 result.command.replace("\t", " ").replace("\n", " "),

@@ -329,11 +329,14 @@ def run_scheduler(
         )
 
     results_writer = ResultsWriter(options.results) if options.results else None
+    has_sink = emit is not None
     sequencer = OutputSequencer(emit or (lambda r, text: None), options)
 
     # Bounded in-memory retention (--keep-results): the deque window
     # keeps coordinator RSS O(window + slots) while every aggregate the
     # run report needs is maintained incrementally in summary.record().
+    # With an output sink the sink owns each job's stdout, so the window
+    # keeps the record without the text (see _handle_completion).
     summary = RunSummary(
         results=retention_buffer(options.effective_keep_results())
     )
@@ -541,7 +544,7 @@ def run_scheduler(
             _handle_completion(
                 job, result, options, halt, retry_q, summary,
                 sequencer, joblog, results_writer, retry_delay_for=retry_delay_for,
-                tracer=tracer,
+                tracer=tracer, has_sink=has_sink,
             )
         finally:
             slots.release(slot)
@@ -655,7 +658,7 @@ def run_scheduler(
                 _handle_completion(
                     job, result, options, halt, retry_q, summary,
                     sequencer, joblog, results_writer, dry_run=True,
-                    tracer=tracer,
+                    tracer=tracer, has_sink=has_sink,
                 )
                 notify_progress()
             else:
@@ -745,6 +748,18 @@ def run_scheduler(
     return summary
 
 
+def _without_stdout(r: JobResult) -> JobResult:
+    """``r`` with ``stdout=""``: the record a sink-fed summary retains.
+
+    Built positionally: ``dataclasses.replace`` walks the field list
+    per call and costs twice as much on the per-job path.
+    """
+    return JobResult(
+        r.seq, r.args, r.command, r.exit_code, "", r.stderr, r.start_time,
+        r.end_time, r.slot, r.host, r.attempt, r.state, r.value,
+    )
+
+
 def _handle_completion(
     job: Job,
     result: Optional[JobResult],
@@ -758,7 +773,19 @@ def _handle_completion(
     dry_run: bool = False,
     retry_delay_for: Optional[Callable[[int], float]] = None,
     tracer: Optional[RunTracer] = None,
+    has_sink: bool = False,
 ) -> None:
+    """Route one attempt's result to the joblog, retry queue and sinks.
+
+    Every consumer but the summary gets ``result`` whole.  With an
+    output sink (``has_sink``) the summary's retention window records a
+    copy without ``stdout``: the sink, fed by ``sequencer`` (whose
+    ``--keep-order`` hold keeps the full result until it emits), is the
+    text's one owner, so a long run does not hold every job's output
+    after printing it — GNU Parallel likewise deletes its output buffer
+    files once printed.  ``stderr`` and ``value`` stay on the record for
+    failure reports and ``Parallel.map``.
+    """
     assert result is not None
     if joblog is not None and not dry_run:
         joblog.write(result)
@@ -780,7 +807,10 @@ def _handle_completion(
     if tracer is not None:
         tracer.attempt_finished(job, result)
     job.state = result.state
-    summary.record(result)
+    if has_sink and result.stdout:
+        summary.record(_without_stdout(result))
+    else:
+        summary.record(result)
     halt.record(result.state)
     if results_writer is not None and not dry_run:
         results_writer.write(result)

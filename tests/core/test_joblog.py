@@ -59,6 +59,17 @@ def test_tabs_and_newlines_in_command_sanitized(tmp_path):
     assert entries[0].command == "echo a b"
 
 
+def test_byte_columns_count_utf8_bytes(tmp_path):
+    from repro import Parallel
+
+    path = str(tmp_path / "log")
+    summary = Parallel("printf %s {}", jobs=1, joblog=path).run(["é", "abc"])
+    assert summary.ok
+    assert [r.stdout for r in summary.sorted_results()] == ["é", "abc"]
+    # printf 'é' writes two bytes; ASCII text counts one per character.
+    assert [e.send for e in read_joblog(path)] == [2, 3]
+
+
 def test_append_mode_preserves_history(tmp_path):
     path = str(tmp_path / "log")
     with JoblogWriter(path) as w:
