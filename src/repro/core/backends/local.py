@@ -1,7 +1,8 @@
 """Local shell backend: runs rendered commands as real subprocesses.
 
 This is the engine's production path — functionally the same as what GNU
-Parallel does (fork + exec via the shell), with output capture, timeouts,
+Parallel does (fork + exec via the shell, skipped for a plain command
+the shell would only have exec'd), with output capture, timeouts,
 working-directory and niceness support, and kill-on-halt.
 
 Running a job is :func:`~repro.core.backends.spawn.run_command`, which
@@ -65,10 +66,12 @@ __all__ = ["LocalShellBackend"]
 
 
 class LocalShellBackend(Backend):
-    """Executes each job's command string through ``/bin/sh -c``.
+    """Executes each job's command string: through ``/bin/sh -c``, or,
+    when the command is plain (no quoting, expansion, redirection or
+    builtin), by exec'ing its words directly as the shell would.
 
     Each spawned process gets its own process group so that ``--halt now``
-    and timeouts kill the whole job tree, not just the shell.
+    and timeouts kill the whole job tree, not just its leader.
     """
 
     def __init__(self, shell: str = "/bin/sh"):
@@ -258,7 +261,7 @@ class LocalShellBackend(Backend):
             path = "posix" if posix else "popen"
             self._tracer.span(
                 "spawn", done.start, done.spawned, seq=job.seq, slot=slot,
-                path=path, pid=done.pid,
+                path=path, pid=done.pid, direct=done.direct,
             )
             if done.timed_out:
                 self._tracer.instant(

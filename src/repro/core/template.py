@@ -163,7 +163,10 @@ class CommandTemplate:
     command:
         Either a single shell-command string (tokens substituted textually,
         as GNU Parallel does) or a pre-split argv list (substitution happens
-        per argv element; safer, no shell interpretation).
+        per argv element).  An argv-mode job is rendered with
+        ``shlex.join``, so the shell expands nothing in it; it still runs
+        through ``sh -c`` (a builtin such as ``echo`` stays the builtin)
+        unless every word is plain, when its words are exec'd directly.
     """
 
     def __init__(self, command: Union[str, Sequence[str]], implicit_append: bool = True):

@@ -107,3 +107,15 @@ def test_completed_seqs_resume_skips_all_attempted(tmp_path):
     assert completed_seqs(path, include_failed=True) == {1, 2}
     # --resume-failed: skip only successes
     assert completed_seqs(path, include_failed=False) == {1}
+
+
+def test_signal_death_fills_the_signal_column(tmp_path):
+    # GNU Parallel splits the wait status: a job killed by signal n has
+    # Exitval 0 and Signal n.  -1 (never ran) stays in Exitval.
+    path = str(tmp_path / "log")
+    with JoblogWriter(path) as w:
+        for seq, code in enumerate((-9, -15, 137, -1), 1):
+            w.write(result(seq, code=code))
+    assert [(e.exitval, e.signal) for e in read_joblog(path)] == [
+        (0, 9), (0, 15), (137, 0), (-1, 0)]
+    assert not any(e.ok for e in read_joblog(path))

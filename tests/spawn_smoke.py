@@ -30,15 +30,26 @@ def main() -> int:
     launcher, reapers = SpawnLauncher(), LiveReaper()
     workdir = os.path.realpath(tempfile.mkdtemp())
     streamed: list[str] = []
-    # name → (command, run_command keywords, expected outcome)
+    posix = dict(launcher=launcher, reaper=reapers.get())
+    # The shell's own report of a program it cannot find: what a plain
+    # command whose direct exec failed must give once retried.
+    missing = run_command("repro-no-such-program #", table=ProcessTable())
+    # name → (command, run_command keywords, expected outcome); the last
+    # field of an outcome is ``direct``, a plain command exec'd unshelled.
     cases = {
-        "posix": (MIXED, dict(launcher=launcher, reaper=reapers.get()),
-                  (3, b"out\n", b"err\n", False)),
-        "popen": (MIXED, {}, (3, b"out\n", b"err\n", False)),
-        "cwd": ("pwd", dict(cwd=workdir), (0, f"{workdir}\n".encode(), b"", False)),
-        "stdin": ("cat; exit 3", dict(stdin="a\nb\n"), (3, b"a\nb\n", b"", False)),
-        "stream": (MIXED, dict(stream=streamed.append), (3, b"out\n", b"err\n", False)),
-        "timeout": ("sleep 30", dict(timeout=0.2), (-15, b"", b"", True)),
+        "posix": (MIXED, posix, (3, b"out\n", b"err\n", False, False)),
+        "popen": (MIXED, {}, (3, b"out\n", b"err\n", False, False)),
+        "cwd": ("pwd", dict(cwd=workdir),
+                (0, f"{workdir}\n".encode(), b"", False, False)),
+        "stdin": ("cat; exit 3", dict(stdin="a\nb\n"),
+                  (3, b"a\nb\n", b"", False, False)),
+        "stream": (MIXED, dict(stream=streamed.append),
+                   (3, b"out\n", b"err\n", False, False)),
+        "timeout": ("sleep 30", dict(timeout=0.2), (-15, b"", b"", True, True)),
+        "direct": ("cat", dict(stdin="a\n"), (0, b"a\n", b"", False, True)),
+        "direct posix": ("sleep 0", posix, (0, b"", b"", False, True)),
+        "shell retry": ("repro-no-such-program", {},
+                        (127, b"", missing.stderr, False, False)),
         "exec failure": ("true", dict(shell="/no/such/shell"),
                          (errno.ENOENT, "/no/such/shell")),
         "cwd failure": ("true", dict(cwd="/no/such/dir"),
@@ -49,7 +60,8 @@ def main() -> int:
         for name, (command, kw, expected) in cases.items():
             try:
                 done = run_command(command, table=ProcessTable(), **kw)
-                got: tuple = (done.returncode, done.stdout, done.stderr, done.timed_out)
+                got: tuple = (done.returncode, done.stdout, done.stderr,
+                              done.timed_out, done.direct)
             except OSError as exc:
                 got = (exc.errno, exc.filename)
             if name == "stream" and "".join(streamed) != "out\n":

@@ -21,7 +21,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 BACKENDS = SRC / "repro" / "core" / "backends"
 HOME = BACKENDS / "spawn.py"
-CALLS = ("fork_exec(", "os.posix_spawn(", "os.killpg(", "os.setpriority(")
+CALLS = ("fork_exec(", "os.posix_spawn(", "os.posix_spawnp(", "os.killpg(",
+         "os.setpriority(")
 WRAPPER = ("subprocess.Popen(",)
 POSIX_LEG = ("SpawnLauncher(", "LiveReaper(")
 POSIX_LEG_HOMES = {BACKENDS / name for name in ("spawn.py", "local.py", "pool.py")}
