@@ -19,7 +19,9 @@ from repro.cluster import DTN_CLUSTER, PERLMUTTER_CPU, SimMachine
 from repro.dtn import run_dtn_transfer
 from repro.sim import Environment
 from repro.simengine import SimParallel, SimTask, batch_makespan
-from repro.storage import Filesystem, RsyncCostModel, uniform_files
+from repro.storage.datasets import uniform_files
+from repro.storage.filesystem import Filesystem
+from repro.storage.rsync import RsyncCostModel
 
 
 # ---------------------------------------------------------- sharding ablation
@@ -105,7 +107,8 @@ def test_ablation_prefetch_depth(benchmark, report_file):
     """Pipeline depth swept 0..3 with the generic staging executor: depth 1
     (the paper's design) captures the whole win; deeper lookahead has no
     headroom because one copy already hides behind one processing stage."""
-    from repro.storage import Filesystem, StagingConfig, run_staging_pipeline
+    from repro.storage.filesystem import Filesystem
+    from repro.storage.staging import StagingConfig, run_staging_pipeline
 
     GB = 1024**3
 

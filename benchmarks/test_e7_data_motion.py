@@ -22,7 +22,9 @@ from repro.analysis import render_table, speedup
 from repro.cluster import DTN_CLUSTER, SimMachine
 from repro.dtn import run_dtn_transfer, run_sequential_transfer
 from repro.sim import Environment
-from repro.storage import Filesystem, RsyncCostModel, lognormal_tree
+from repro.storage.datasets import lognormal_tree
+from repro.storage.filesystem import Filesystem
+from repro.storage.rsync import RsyncCostModel
 
 N_FILES = 40_000
 MEAN_SIZE = 1024**2  # 1 MB mean, lognormal: a petabyte archive's shape

@@ -18,7 +18,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.analysis import render_table
 from repro.sim import Environment
-from repro.storage import make_lustre, make_nvme
+from repro.storage.filesystem import make_lustre, make_nvme
 from repro.workloads.darshan import DarshanPipelineConfig, run_staged_pipeline
 
 

@@ -18,7 +18,7 @@ import tempfile
 
 from repro import Parallel
 from repro.sim import Environment
-from repro.storage import make_lustre, make_nvme
+from repro.storage.filesystem import make_lustre, make_nvme
 from repro.workloads.darshan import (
     DarshanPipelineConfig,
     darshan_arch,

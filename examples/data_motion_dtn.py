@@ -16,7 +16,9 @@ Run:  python examples/data_motion_dtn.py
 from repro.cluster import DTN_CLUSTER, SimMachine
 from repro.dtn import run_dtn_transfer, run_sequential_transfer
 from repro.sim import Environment
-from repro.storage import Filesystem, RsyncCostModel, lognormal_tree
+from repro.storage.datasets import lognormal_tree
+from repro.storage.filesystem import Filesystem
+from repro.storage.rsync import RsyncCostModel
 
 N_FILES = 5_000
 PATH_BW = 2.385e9  # bytes/s end-to-end (8 x 2,385 Mb/s, the paper's rate)

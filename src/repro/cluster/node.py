@@ -12,7 +12,7 @@ The node is where all the launch-rate physics lives:
   ~65/s), created lazily per runtime;
 * ``gpus`` — a :class:`~repro.gpu.GpuPool` enforcing the isolation
   invariant (two concurrent claims on one device raise);
-* ``nvme`` — a private :class:`~repro.storage.Filesystem`.
+* ``nvme`` — a private :class:`~repro.storage.filesystem.Filesystem`.
 """
 
 from __future__ import annotations

@@ -42,6 +42,15 @@ class Backend(abc.ABC):
         ordinary job failure; failures are results, not exceptions.
         """
 
+    def renew(self) -> "Backend":
+        """The backend for the engine's next run.
+
+        Backends are single-run: they track in-flight processes and
+        cancellation.  Stateful backends return a fresh instance (or reset
+        themselves); the default reuses ``self``.
+        """
+        return self
+
     def prepare_run(self, options: Options) -> None:
         """One-time per-run setup, called by the scheduler before dispatch.
 

@@ -43,6 +43,9 @@ class CallableBackend(Backend):
         self.host = "local"
         self._cancelled = threading.Event()
 
+    def renew(self) -> "CallableBackend":
+        return CallableBackend(self.func)
+
     def run_job(
         self, job: Job, slot: int, options: Options, timeout: float | None = None
     ) -> JobResult:

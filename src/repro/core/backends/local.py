@@ -97,6 +97,9 @@ class LocalShellBackend(Backend):
         self._pool: DispatcherPool | None = None
         self._encoding = locale.getpreferredencoding(False)
 
+    def renew(self) -> "LocalShellBackend":
+        return LocalShellBackend(shell=self.shell)
+
     def prepare_run(self, options: Options) -> None:
         self._run_env = merged_env(options.env)
         self._run_opts = options

@@ -178,7 +178,7 @@ class Parallel:
     # -- plumbing ------------------------------------------------------------
     def _make_backend(self, template: Optional[CommandTemplate] = None) -> Backend:
         if self._default_backend is not None:
-            return self._fresh_backend(self._default_backend)
+            return self._default_backend.renew()
         if self.options.remote:
             from repro.errors import OptionsError
             from repro.remote import LocalTransport, RemoteBackend
@@ -199,39 +199,14 @@ class Parallel:
 
         ``-j`` means slots *per host* under ``-S`` (GNU Parallel), so the
         dispatch cap becomes the sum of per-host slots, read off the
-        backend (or a fault-injecting wrapper's inner backend).
+        backend.
         """
         total = getattr(backend, "total_slots", None)
-        if total is None:
-            total = getattr(getattr(backend, "inner", None), "total_slots", None)
         if total is None or total == options.jobs:
             return options
         import dataclasses
 
         return dataclasses.replace(options, jobs=total)
-
-    @classmethod
-    def _fresh_backend(cls, backend: Backend) -> Backend:
-        # Backends are single-run (they track in-flight processes and
-        # cancellation); recreate stateful defaults per run where we own
-        # them.  Fault-injecting wrappers are refreshed recursively so a
-        # reused engine does not inherit a cancelled inner backend.
-        from repro.faults.backend import FaultyBackend
-        from repro.remote.backend import RemoteBackend
-
-        if isinstance(backend, LocalShellBackend):
-            return LocalShellBackend(shell=backend.shell)
-        if isinstance(backend, CallableBackend):
-            return CallableBackend(backend.func)
-        if isinstance(backend, RemoteBackend):
-            return backend.renew()
-        if isinstance(backend, FaultyBackend):
-            # Reset in place (not a copy) so the caller's handle keeps
-            # seeing the injected-fault counters after the run.
-            backend.inner = cls._fresh_backend(backend.inner)
-            backend.reset()
-            return backend
-        return backend
 
     def _make_emit(self):
         out = self._output

@@ -118,6 +118,11 @@ class FaultyBackend(Backend):
         if intern is not None:
             intern(template, options)
 
+    @property
+    def total_slots(self) -> int | None:
+        """The inner backend's roster-wide concurrency (None when local)."""
+        return getattr(self.inner, "total_slots", None)
+
     def control_plane_stats(self) -> dict:
         stats = getattr(self.inner, "control_plane_stats", None)
         return stats() if stats is not None else {}
@@ -126,14 +131,17 @@ class FaultyBackend(Backend):
         self._cancelled.set()
         self.inner.cancel_all()
 
-    def reset(self) -> None:
-        """Clear per-run cancellation state before a reuse.
+    def renew(self) -> "FaultyBackend":
+        """Renew ``inner`` and clear cancellation, in place.
 
-        Injected-fault counters are cumulative across runs by design —
-        callers hold onto the wrapper to read them afterwards.
+        The wrapper itself is kept (not copied): injected-fault counters
+        are cumulative across runs by design — callers hold onto the
+        wrapper to read them afterwards.
         """
+        self.inner = self.inner.renew()
         self._cancelled = threading.Event()
         self.host = getattr(self.inner, "host", "local")
+        return self
 
     def close(self) -> None:
         self.inner.close()

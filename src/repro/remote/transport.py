@@ -48,7 +48,7 @@ import tempfile
 import threading
 import uuid
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.backends.spawn import (
     ProcessTable,
@@ -59,8 +59,10 @@ from repro.core.backends.spawn import (
 from repro.core.options import TMPDIR_WORKDIR
 from repro.errors import StagingError, TransportError
 from repro.remote.hosts import HostSpec
-from repro.sim.netmodel import NetModel
 from repro.storage.transfer import copy_file, plan_streams, remove_files
+
+if TYPE_CHECKING:  # pragma: no cover - SimTransport imports it when built
+    from repro.sim.netmodel import NetModel
 
 __all__ = [
     "ExecResult",
@@ -295,14 +297,15 @@ class SimTransport(Transport):
 
     def __init__(
         self,
-        model: NetModel = NetModel(),
+        model: Optional[NetModel] = None,
         runtime_s: float = 0.0,
         seed: int = 0,
         handler: Optional[Callable[[HostSpec, str], tuple[int, str]]] = None,
     ):
+        from repro.sim.netmodel import NetModel
         from repro.sim.random import RngRegistry
 
-        self.model = model
+        self.model = model if model is not None else NetModel()
         self.runtime_s = runtime_s
         self.handler = handler
         self._rng = RngRegistry(seed)

@@ -1,25 +1,23 @@
-"""Simulated storage substrate: Lustre, NVMe, rsync, synthetic datasets."""
+"""Storage: the simulated substrate and the real-filesystem transfer layer.
 
-from repro.storage.datasets import lognormal_tree, uniform_files
-from repro.storage.filesystem import FileEntry, Filesystem, make_lustre, make_nvme
-from repro.storage.rsync import RsyncCostModel, RsyncStats, rsync_process
-from repro.storage.staging import StagingConfig, StagingReport, run_staging_pipeline
-from repro.storage.transfer import copy_file, remote_relpath, remove_files
+Import from the submodule; the package re-exports nothing, so loading
+:mod:`repro.storage.transfer` on the remote dispatch path does not pull in
+the simulator or numpy.
 
-__all__ = [
-    "remote_relpath",
-    "copy_file",
-    "remove_files",
-    "FileEntry",
-    "Filesystem",
-    "make_lustre",
-    "make_nvme",
-    "RsyncCostModel",
-    "RsyncStats",
-    "rsync_process",
-    "StagingConfig",
-    "StagingReport",
-    "run_staging_pipeline",
-    "lognormal_tree",
-    "uniform_files",
-]
+:mod:`repro.storage.transfer`
+    Real files: rsync-style relative paths (``remote_relpath``),
+    multi-stream ``copy_file``, ``remove_files``; the remote backend
+    imports it.
+:mod:`repro.storage.filesystem`
+    Simulated Lustre/NVMe (``Filesystem``, ``FileEntry``, ``make_lustre``,
+    ``make_nvme``) on :mod:`repro.sim`.
+:mod:`repro.storage.rsync`
+    rsync cost model (``RsyncCostModel``, ``RsyncStats``,
+    ``rsync_process``) over simulated filesystems.
+:mod:`repro.storage.staging`
+    Pipelined stage-in/process/stage-out (``StagingConfig``,
+    ``StagingReport``, ``run_staging_pipeline``).
+:mod:`repro.storage.datasets`
+    Synthetic file trees (``lognormal_tree``, ``uniform_files``); uses
+    numpy.
+"""

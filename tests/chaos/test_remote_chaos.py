@@ -101,6 +101,35 @@ class TestTransportFaultKinds:
         assert summary.ok
         assert backend.injected == {}
 
+    def test_fault_wrapper_keeps_the_roster_slot_total(self):
+        # -j is per host under -S: a FaultyBackend over a 2+3-slot roster
+        # must still let 5 jobs run at once, not -j1's single slot.
+        import threading
+        import time
+
+        from repro.faults import FaultyBackend
+
+        lock, running, peak = threading.Lock(), [0], [0]
+
+        def handler(host, command):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.2)
+            with lock:
+                running[0] -= 1
+            return 0, ""
+
+        specs = "2/n1,3/n2"
+        remote = RemoteBackend(parse_sshlogin(specs), SimTransport(handler=handler),
+                               template=CommandTemplate("echo {}"))
+        backend = FaultyBackend(remote, FaultPlan())
+        assert backend.total_slots == 5
+        summary = Parallel("echo {}", jobs=1, sshlogin=[specs],
+                           backend=backend).run([str(i) for i in range(10)])
+        assert summary.ok
+        assert peak[0] == 5
+
 
 class TestHostDiesMidRun:
     N_JOBS = 40

@@ -6,7 +6,9 @@ from repro.cluster import DTN_CLUSTER, SimMachine
 from repro.dtn import run_dtn_transfer, run_sequential_transfer
 from repro.errors import ReproError
 from repro.sim import Environment
-from repro.storage import Filesystem, RsyncCostModel, lognormal_tree, uniform_files
+from repro.storage.datasets import lognormal_tree, uniform_files
+from repro.storage.filesystem import Filesystem
+from repro.storage.rsync import RsyncCostModel
 
 
 def setup_machine():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.sim import Environment
-from repro.storage import FileEntry, Filesystem, make_lustre, make_nvme
+from repro.storage.filesystem import FileEntry, Filesystem, make_lustre, make_nvme
 
 
 def test_namespace_add_exists_size_remove():

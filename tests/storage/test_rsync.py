@@ -4,13 +4,9 @@ import pytest
 
 from repro.errors import StorageError
 from repro.sim import Environment, FairShareLink
-from repro.storage import (
-    FileEntry,
-    Filesystem,
-    RsyncCostModel,
-    rsync_process,
-    uniform_files,
-)
+from repro.storage.datasets import uniform_files
+from repro.storage.filesystem import FileEntry, Filesystem
+from repro.storage.rsync import RsyncCostModel, rsync_process
 
 FAST = RsyncCostModel(startup_s=0.0, per_file_s=0.0, stream_bw=1e12)
 

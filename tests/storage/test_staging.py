@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import StorageError
 from repro.sim import Environment
-from repro.storage import Filesystem, StagingConfig, run_staging_pipeline
+from repro.storage.filesystem import Filesystem
+from repro.storage.staging import StagingConfig, run_staging_pipeline
 
 GB = 1024**3
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.sim import Environment
-from repro.storage import make_lustre, make_nvme
+from repro.storage.filesystem import make_lustre, make_nvme
 from repro.workloads.darshan import (
     DarshanPipelineConfig,
     DarshanRecord,
