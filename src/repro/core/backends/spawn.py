@@ -37,10 +37,11 @@ Two ways to start a job, measured on CPython 3.11:
 timeout, kill and ``--nice`` handling every caller shares.
 
 Both legs exec a *plain* command (:func:`_plain_argv`: no quoting,
-expansion, redirection or builtin) directly, with the argv and the
-environment ``sh`` would have passed, so the job skips the shell's own
-fork and exec; anything else, and a direct exec that fails, runs as
-``shell -c command``.
+expansion, redirection or builtin) directly, with the argv ``sh`` would
+have passed and the environment the shell itself reported once for
+the run (:class:`_ExecEnv`), so the job skips the shell's own fork and
+exec; anything else, and a direct exec that fails, runs as ``shell -c
+command``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from __future__ import annotations
 import fcntl
 import os
 import select
+import shutil
 import signal
 import sys
 import threading
@@ -400,120 +402,68 @@ def _plain_argv(command: str) -> "list[str] | None":
     return words
 
 
-def _dash_env(mapping: dict, jobdir: str) -> "dict[str, str] | None":
-    """The environment dash passes the program it execs, but for ``PWD``:
-    only names matching ``[A-Za-z_][A-Za-z0-9_]*``, with ``IFS``,
-    ``OPTIND`` and ``PPID`` its own.  None when dash would fail first (a
-    non-numeric ``OPTIND``)."""
-    optind = mapping.get("OPTIND")
-    if optind is not None and not (optind.isascii() and optind.isdigit()):
-        return None
-    env = {k: v for k, v in mapping.items() if k.isascii() and k.isidentifier()}
-    for name, value in (("IFS", " \t\n"), ("OPTIND", "1"),
-                        ("PPID", str(os.getpid()))):
-        if name in env:
-            env[name] = value
-    return env
-
-
 #: Names bash reads at startup to change what it runs (``BASH_ENV``,
 #: ``SHELLOPTS``, exported functions as ``BASH_FUNC_name%%``, ...) or
-#: sets to a value of its own; with one inherited, the job keeps the shell.
+#: sets to a value of its own; with one inherited, the job keeps the shell
+#: (no probe sees a function that shadows a program).
 _BASH_OWN = ("BASH", "SHELLOPTS", "POSIXLY_CORRECT", "EPOCHSECONDS",
              "EPOCHREALTIME")
-#: Names bash drops from what it exports, and names it resets.
-_BASH_DROPS = frozenset({"PPID", "RANDOM", "SRANDOM", "HISTCMD",
-                         "COMP_WORDBREAKS"})
-_BASH_RESETS = (("IFS", " \t\n"), ("OPTIND", "1"), ("OPTERR", "1"),
-                ("PS4", "+ "), ("LINENO", "1"))
 
-
-def _bash_env(mapping: dict, jobdir: str) -> "dict[str, str] | None":
-    """The environment bash (also as ``sh``) passes the program it execs,
-    but for ``PWD``, ``SHLVL`` and ``_``: every name, even one no shell
-    variable can have, less :data:`_BASH_DROPS` and an ``OLDPWD`` that
-    names no directory, with :data:`_BASH_RESETS` applied.  None when a
-    name starts with one of :data:`_BASH_OWN`."""
-    if any(k.startswith(_BASH_OWN) for k in mapping):
-        return None
-    env = {k: v for k, v in mapping.items() if k not in _BASH_DROPS}
-    oldpwd = env.get("OLDPWD")
-    if oldpwd is not None and not os.path.isdir(os.path.join(jobdir, oldpwd)):
-        del env["OLDPWD"]
-    for name, value in _BASH_RESETS:
-        if name in env:
-            env[name] = value
-    return env
-
-
-#: The environment model for each shell :func:`_plain_argv` models, by
-#: the base name of the file the shell's path resolves to.
-_ENV_MODELS: "dict[str, Callable[[dict, str], dict[str, str] | None]]" = {
-    "dash": _dash_env,
-    "bash": _bash_env,
-}
+#: The script whose output is the environment the shell passes a program
+#: it execs (``{}`` is ``cat``'s absolute path), and how long it may take.
+_PROBE = "exec {} /proc/self/environ"
+_PROBE_TIMEOUT = 2.0
 
 
 def _shell_program(shell: str, dirs: "list[bytes]") -> str:
     """The base name of the file ``shell`` runs, symlinks resolved (so a
     ``/bin/sh`` that links to bash is ``bash``); a bare name is looked
-    up in ``dirs``.  ``""`` when no such file is found."""
-    if not os.path.dirname(shell):
-        for d in dirs:
-            found = os.path.join(os.fsdecode(d), shell)
-            if os.path.isfile(found) and os.access(found, os.X_OK):
-                shell = found
-                break
-        else:
-            return ""
-    return os.path.basename(os.path.realpath(shell))
+    up in ``dirs``.  ``""`` when no such program is found."""
+    found = shutil.which(shell, path=os.pathsep.join(map(os.fsdecode, dirs)))
+    return os.path.basename(os.path.realpath(found)) if found else ""
 
 
 class _ExecEnv:
     """What a job's exec needs from one ``(env, cwd, shell)``, built once.
 
     ``shell_env`` is ``env`` as ``fork_exec``'s vector, None (inherit the
-    process environment) when env is None.  ``direct_map``/``direct_env``
-    hold the environment the shell gives the program it execs
-    (:data:`_ENV_MODELS`), with ``PWD`` the job's directory, the
-    inherited value kept only when it names that directory; env None
-    means ``os.environ``, what the posix leg's snapshot holds too.  They
-    are None when the job cannot run without the shell: the shell is
-    neither dash nor bash, the model declines the environment, ``PATH``
-    is unset, or the directory cannot be read here.
+    process environment) when env is None.  ``direct_env``/``direct_map``
+    hold the environment the shell gives a program it execs, as the shell
+    reports it: :data:`_PROBE`, run in the job's directory with ``env``
+    (``os.environ``, as in the posix leg's snapshot, when None).  They
+    are None when the job keeps the shell: it is neither dash nor bash,
+    bash would act on an inherited name (:data:`_BASH_OWN`), ``PATH`` is
+    unset, or the probe fails, writes to stderr or times out.
     """
 
     __slots__ = ("source", "snapshot", "shell_env", "path", "dirs",
                  "direct_map", "direct_env")
 
     def __init__(self, env: "dict[str, str] | None", source: dict,
-                 cwd: "str | None", here: "str | None", shell: str) -> None:
+                 cwd: "str | None", shell: str) -> None:
         self.source, self.snapshot = source, dict(source)
         self.shell_env = None if env is None else _env_list(env)
         self.dirs = [os.fsencode(d) for d in os.get_exec_path(env)]
         mapping = os.environ if env is None else env
         self.path = mapping.get("PATH")
-        self.direct_map: "dict[str, str] | None" = None
+        self.direct_map: "dict[bytes, bytes] | None" = None
         self.direct_env: "list[bytes] | None" = None
-        model = _ENV_MODELS.get(_shell_program(shell, self.dirs))
-        if model is None or self.path is None or here is None:
+        program = _shell_program(shell, self.dirs)
+        cat = shutil.which("cat", path=os.defpath)
+        if (program not in ("dash", "bash") or self.path is None or cat is None
+                or program == "bash" and any(k.startswith(_BASH_OWN) for k in mapping)):
             return
-        jobdir = here if cwd is None else os.path.join(here, cwd)
         try:
-            st = os.stat(jobdir)
+            pid, out_r, err_r, _ = _launch(
+                [shell, "-c", _PROBE.format(cat)], self.executables(shell), cwd,
+                _env_list(mapping) if env is None else self.shell_env, False)
         except OSError:
             return  # the shell leg reports the failed chdir
-        direct = model(mapping, jobdir)
-        if direct is None:
+        returncode, out, err, timed_out = _collect(pid, out_r, err_r, _PROBE_TIMEOUT)
+        if returncode or err or timed_out:
             return
-        pwd = mapping.get("PWD")
-        try:
-            kept = pwd and pwd[0] == "/" and os.path.samestat(os.stat(pwd), st)
-        except OSError:
-            kept = False
-        direct["PWD"] = pwd if kept else (
-            here if cwd is None else os.path.realpath(jobdir))
-        self.direct_map, self.direct_env = direct, _env_list(direct)
+        self.direct_env = out.split(b"\0")[:-1]
+        self.direct_map = dict(entry.split(b"=", 1) for entry in self.direct_env)
 
     def executables(self, name: str) -> tuple:
         """The paths ``fork_exec`` tries for ``name``, in PATH order."""
@@ -548,7 +498,7 @@ def _exec_env(env: "dict[str, str] | None", cwd: "str | None",
     key = (id(source), cwd, here, shell)
     entry = _exec_envs.get(key)
     if entry is None or entry.source is not source or entry.snapshot != source:
-        entry = _ExecEnv(env, source, cwd, here, shell)
+        entry = _ExecEnv(env, source, cwd, shell)
         if len(_exec_envs) >= _EXEC_ENVS_MAX:
             _exec_envs.clear()
         _exec_envs[key] = entry
@@ -771,12 +721,12 @@ def run_command(
 
     A plain command (:func:`_plain_argv`) under a ``shell`` that is dash
     or bash (under any name) is exec'd directly on either leg, with a
-    PATH search and the environment that shell would pass
-    (:class:`_ExecEnv`), and reports ``direct=True``; if that exec fails, the program never ran and the
-    job is launched again through the shell, which reports the failure
-    (127/126 and its message) as before.  A direct job killed by a
-    signal reports it (a negative ``returncode``) where dash would have
-    turned it into ``128+n``.
+    PATH search and the environment that shell reported passing
+    (:class:`_ExecEnv`), and reports ``direct=True``.  If that exec
+    fails, the program never ran and the job is launched again through
+    the shell, which reports the failure (127/126 and its message) as
+    before.  A direct job killed by a signal reports it (a negative
+    ``returncode``) where dash would have turned it into ``128+n``.
 
     The job is its own session and process-group leader; it is registered
     in ``table`` for its whole life (so a cancel kills it), gets ``nice``
@@ -805,9 +755,10 @@ def run_command(
     On every leg a job is open until every writer has closed its pipes,
     so a backgrounded grandchild still holding stdout keeps it running.
     The fork_exec leg runs in bytes mode with ``shell``, ``env`` (None =
-    inherit) and ``stdin`` encoded with ``encoding``.  ``reaper`` must come from a :class:`LiveReaper`; if it
-    closes between that pick and registration, the job is collected by
-    :func:`wait_inline` and reports :data:`REAPER_GONE` on stderr.
+    inherit) and ``stdin`` encoded with ``encoding``.  ``reaper`` must
+    come from a :class:`LiveReaper`; if it closes between that pick and
+    registration, the job is collected by :func:`wait_inline` and
+    reports :data:`REAPER_GONE` on stderr.
     """
     start = time.time()
     forked = launcher is None or cwd is not None or stdin is not None or stream is not None

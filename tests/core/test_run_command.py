@@ -403,11 +403,11 @@ def shell(request, tmp_path, monkeypatch):
 
 
 def _env_lines(out, shell):
-    """``env``'s output as a set of lines, less the ``SHLVL`` and ``_``
-    bash sets and the direct exec does not."""
+    """``env``'s output as a set of lines, less the ``_`` bash sets to
+    the program's path and the direct exec does not."""
     lines = set(out.splitlines())
     if spawn._shell_program(shell, []) == "bash":
-        lines = {line for line in lines if not line.startswith((b"SHLVL=", b"_="))}
+        lines = {line for line in lines if not line.startswith(b"_=")}
     return lines
 
 
@@ -463,23 +463,26 @@ def run_on(posix, tmp_path, shell, monkeypatch):
         transport.close()
 
 
-@pytest.mark.parametrize("pwd", ["stale", "unset", "symlink", "job-symlink"])
+@pytest.mark.parametrize("case", ["stale", "unset", "symlink", "job-symlink",
+                                  "no-shlvl"])
 @pytest.mark.parametrize("leg", PLAIN_LEGS)
-def test_direct_exec_passes_the_shells_environment(run_on, shell, leg, pwd,
+def test_direct_exec_passes_the_shells_environment(run_on, shell, leg, case,
                                                    monkeypatch, tmp_path):
     # The shell exports PWD as the job's directory, keeping an inherited
-    # PWD only when it names that directory (through a symlink, say).
+    # PWD only when it names that directory (through a symlink, say);
+    # bash started without SHLVL exports SHLVL=0.
     home = tmp_path / "home"
     home.mkdir()
     (tmp_path / "home-link").symlink_to(home)
     (tmp_path / "job-link").symlink_to(tmp_path / "job")
     monkeypatch.chdir(home)
-    value = {"stale": "/", "unset": None, "symlink": str(tmp_path / "home-link"),
-             "job-symlink": str(tmp_path / "job-link")}[pwd]
-    if value is None:
+    if case == "no-shlvl":
+        monkeypatch.delenv("SHLVL", raising=False)
+    elif case == "unset":
         monkeypatch.delenv("PWD", raising=False)
     else:
-        monkeypatch.setenv("PWD", value)
+        monkeypatch.setenv("PWD", {"stale": "/", "symlink": str(tmp_path / "home-link"),
+                                   "job-symlink": str(tmp_path / "job-link")}[case])
     rc, out, err, direct = run_on(leg, "env")
     forced = run_on(leg, "env #")
     got, want = _env_lines(out, shell), _env_lines(forced[1], shell)
@@ -679,6 +682,20 @@ def test_signal_death_direct_and_through_the_shell(tmp_path):
         (0, 9), (137, 0)]
 
 
+def _count_probes(monkeypatch):
+    """A list that gains the cwd of every environment probe launched."""
+    probes = []
+    real = spawn._launch
+
+    def launch(argv, executables, cwd, env, stdin):
+        if argv[-1].endswith(" /proc/self/environ"):
+            probes.append(cwd)
+        return real(argv, executables, cwd, env, stdin)
+
+    monkeypatch.setattr(spawn, "_launch", launch)
+    return probes
+
+
 def test_environment_vector_is_built_once_per_env_and_cwd(monkeypatch, tmp_path):
     env = dict(os.environ, PWD="/")
     built = []
@@ -689,13 +706,32 @@ def test_environment_vector_is_built_once_per_env_and_cwd(monkeypatch, tmp_path)
         real(self, *args)
 
     monkeypatch.setattr(spawn._ExecEnv, "__init__", init)
+    probes = _count_probes(monkeypatch)
     spawn._exec_envs.clear()
     for _ in range(3):
         for cwd in (None, str(tmp_path)):
-            assert run_command("true", table=ProcessTable(), env=env,
-                               cwd=cwd).returncode == 0
-    assert built == [None, str(tmp_path)]
+            done = run_command("cat /dev/null", table=ProcessTable(), env=env,
+                               cwd=cwd)
+            assert (done.returncode, done.direct) == (0, True)
+    assert built == probes == [None, str(tmp_path)]
     env["REPRO_CHANGED"] = "1"  # changed in place: rebuilt, not stale
     done = run_command("env", table=ProcessTable(), env=env)
     assert b"REPRO_CHANGED=1" in done.stdout.splitlines()
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("leg", ["popen", "cwd", "stdin", "stream", "posix"])
+def test_failed_probe_keeps_the_shell(posix, leg, monkeypatch):
+    # A shell that cannot report its environment (no /proc, a failed
+    # start) runs every plain line itself, with the same outcome.
+    probes = _count_probes(monkeypatch)
+    monkeypatch.setattr(spawn, "_PROBE", "exit 3 {} /proc/self/environ")
+    spawn._exec_envs.clear()
+    try:
+        done, again = (run_command("expr 40 + 2", table=ProcessTable(),
+                                   **_legs(posix)[leg]) for _ in range(2))
+    finally:
+        spawn._exec_envs.clear()
+    assert len(probes) == 1
+    assert [(d.returncode, d.stdout, d.stderr, d.direct) for d in (done, again)] == [
+        (0, b"42\n", b"", False)] * 2
