@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import stat
 import threading
 from typing import TYPE_CHECKING, Optional
 
@@ -102,7 +103,7 @@ class StagingCache:
             st = os.stat(path)
         except OSError:
             raise StagingError(f"transfer source missing: {path!r}") from None
-        if not os.path.isfile(path):
+        if not stat.S_ISREG(st.st_mode):
             raise StagingError(f"transfer source is not a file: {path!r}")
         return (os.path.abspath(path), st.st_size, st.st_mtime_ns)
 

@@ -59,7 +59,7 @@ from repro.core.backends.spawn import (
 from repro.core.options import TMPDIR_WORKDIR
 from repro.errors import StagingError, TransportError
 from repro.remote.hosts import HostSpec
-from repro.storage.transfer import copy_file, plan_streams, remove_files
+from repro.storage.transfer import copy_file, remove_files
 
 if TYPE_CHECKING:  # pragma: no cover - SimTransport imports it when built
     from repro.sim.netmodel import NetModel
@@ -249,13 +249,12 @@ class LocalTransport(Transport):
             ) from None
 
     def get(self, host: HostSpec, relpath: str, dest: str, workdir: str) -> int:
-        src = os.path.join(workdir, relpath)
-        if not os.path.isfile(src):
+        try:
+            return copy_file(os.path.join(workdir, relpath), dest)
+        except StagingError:
             raise StagingError(
                 f"return file {relpath!r} not found on {host.name!r}"
-            )
-        try:
-            return copy_file(src, dest)
+            ) from None
         except OSError as exc:
             raise TransportError(
                 f"return from {host.name!r} failed: {exc}", phase="return"
@@ -383,12 +382,8 @@ class SimTransport(Transport):
             raise StagingError(f"transfer source missing: {src!r}")
         with open(src, "rb") as fh:
             content = fh.read()
-        # Charge the same multi-stream shape the executable transport
-        # uses, so calibrated benches see identical data-motion policy.
-        self._advance(host, self.model.transfer_time(
-            len(content), self._jitter_u(host),
-            streams=plan_streams(len(content)),
-        ))
+        # One stream per file, as the executable transport copies it.
+        self._advance(host, self.model.transfer_time(len(content), self._jitter_u(host)))
         with self._lock:
             self.files.setdefault(host.name, {})[relpath] = content
         return len(content)

@@ -15,7 +15,6 @@ insensitive to host-callback ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import SimulationError
 
@@ -31,17 +30,13 @@ class NetModel:
     ``jitter`` widens each duration uniformly by up to ±``jitter``
     fraction (0 disables it).
 
-    ``stream_bw_Bps`` caps what *one* stream can carry (TCP-window or
-    per-flow QoS limits): a multi-stream transfer then reaches
-    ``min(bw_Bps, streams * stream_bw_Bps)``.  Left ``None``, a single
-    stream already saturates the link and streams change nothing — the
-    honest default for a loopback/SAN-class hop.
+    One operation is one stream: the executable transport copies each
+    file with a single kernel copy, so there is no per-flow cap to model.
     """
 
     latency_s: float = 200e-6
     bw_Bps: float = 1.25e9
     jitter: float = 0.0
-    stream_bw_Bps: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.latency_s < 0:
@@ -50,22 +45,10 @@ class NetModel:
             raise SimulationError(f"bw_Bps must be > 0, got {self.bw_Bps}")
         if not 0.0 <= self.jitter < 1.0:
             raise SimulationError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.stream_bw_Bps is not None and self.stream_bw_Bps <= 0:
-            raise SimulationError(
-                f"stream_bw_Bps must be > 0, got {self.stream_bw_Bps}"
-            )
 
-    def effective_bw(self, streams: int = 1) -> float:
-        """Aggregate bandwidth ``streams`` concurrent flows achieve."""
-        if streams < 1:
-            raise SimulationError(f"streams must be >= 1, got {streams}")
-        if self.stream_bw_Bps is None:
-            return self.bw_Bps
-        return min(self.bw_Bps, streams * self.stream_bw_Bps)
-
-    def transfer_time(self, nbytes: int, u: float = 0.0, streams: int = 1) -> float:
+    def transfer_time(self, nbytes: int, u: float = 0.0) -> float:
         """Seconds to move ``nbytes`` one hop; ``u`` in [-1, 1] jitters it."""
-        base = self.latency_s + max(0, nbytes) / self.effective_bw(streams)
+        base = self.latency_s + max(0, nbytes) / self.bw_Bps
         return base * (1.0 + self.jitter * u)
 
     def remove_time(self, nfiles: int, u: float = 0.0) -> float:

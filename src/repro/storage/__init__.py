@@ -6,8 +6,8 @@ the simulator or numpy.
 
 :mod:`repro.storage.transfer`
     Real files: rsync-style relative paths (``remote_relpath``),
-    multi-stream ``copy_file``, ``remove_files``; the remote backend
-    imports it.
+    ``copy_file`` (one kernel copy per file), ``remove_files``; the
+    remote backend imports it.
 :mod:`repro.storage.filesystem`
     Simulated Lustre/NVMe (``Filesystem``, ``FileEntry``, ``make_lustre``,
     ``make_nvme``) on :mod:`repro.sim`.

@@ -13,31 +13,22 @@ leading ``/`` (and any ``./``) stripped, mirroring ``rsync --relative``;
 ``..`` components are rejected so a crafted input line cannot stage
 outside the workdir.
 
-Large files copy through multiple concurrent streams (``pread``/
-``pwrite`` at disjoint offsets, the rsync ``--whole-file`` + parallel-
-chunk idiom DTN tooling uses): one Python thread per chunk, all writing
-into a pre-sized destination.  :func:`plan_streams` is the shared policy
-for how many streams a payload deserves, so the simulated transport can
-charge the same shape.
+Every copy is one ``shutil.copy2``: on Linux one kernel ``sendfile``
+that releases the GIL and holds no user-space buffer.  Parallel data
+motion comes from many copies over different files (``-j`` slots,
+hosts), the shape of the paper's 256 ``rsync`` processes, never from
+splitting one file inside one process.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import threading
+import stat
 
 from repro.errors import StagingError
 
-__all__ = ["remote_relpath", "copy_file", "remove_files", "plan_streams"]
-
-#: One stream per this many bytes (4 MiB), capped at :data:`MAX_STREAMS`.
-#: Below one chunk the thread handoff costs more than the overlap wins.
-STREAM_CHUNK = 4 << 20
-MAX_STREAMS = 4
-
-#: Read/write block inside one stream.
-_IO_BLOCK = 1 << 20
+__all__ = ["remote_relpath", "copy_file", "remove_files"]
 
 
 def remote_relpath(path: str) -> str:
@@ -58,82 +49,31 @@ def remote_relpath(path: str) -> str:
     return norm
 
 
-def plan_streams(nbytes: int) -> int:
-    """How many concurrent streams a payload of ``nbytes`` warrants."""
-    if nbytes <= 0:
-        return 1
-    return max(1, min(MAX_STREAMS, nbytes // STREAM_CHUNK))
-
-
-def copy_file(src: str, dest: str, streams: int | None = None) -> int:
+def copy_file(src: str, dest: str) -> int:
     """Copy ``src`` to ``dest`` (parents created); returns bytes copied.
 
-    A missing source is a :class:`StagingError` (the job's fault, not the
-    host's); identical src/dest (a ``:`` localhost "transfer") is a no-op.
-    ``streams`` overrides :func:`plan_streams`; 1 is a plain ``copy2``.
+    A missing or non-regular source is a :class:`StagingError` (the
+    job's fault, not the host's); copying a file onto itself (a ``:``
+    localhost "transfer") is a no-op.  Mode and mtime follow ``copy2``.
 
     The byte count is the *source* size at copy time: the destination may
     already be growing (a job appending to its staged input) by the time
     a post-copy ``getsize`` would run.
     """
-    if not os.path.isfile(src):
-        raise StagingError(f"transfer source missing: {src!r}")
-    size = os.path.getsize(src)
-    if os.path.abspath(src) == os.path.abspath(dest):
-        return size
+    try:
+        st = os.stat(src)
+    except OSError:
+        raise StagingError(f"transfer source missing: {src!r}") from None
+    if not stat.S_ISREG(st.st_mode):
+        raise StagingError(f"transfer source is not a file: {src!r}")
     parent = os.path.dirname(dest)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    n = plan_streams(size) if streams is None else max(1, streams)
-    if n <= 1:
-        shutil.copy2(src, dest)
-        return size
-    _copy_streamed(src, dest, size, n)
-    shutil.copystat(src, dest)  # copy2 parity (permissions, mtime)
-    return size
-
-
-def _copy_streamed(src: str, dest: str, size: int, streams: int) -> None:
-    """Concurrent disjoint-offset copy into a pre-sized destination."""
-    fd_in = os.open(src, os.O_RDONLY)
     try:
-        fd_out = os.open(dest, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            os.truncate(fd_out, size)
-            span = -(-size // streams)
-            failures: list[OSError] = []
-
-            def pump(offset: int, end: int) -> None:
-                try:
-                    while offset < end:
-                        block = os.pread(
-                            fd_in, min(_IO_BLOCK, end - offset), offset
-                        )
-                        if not block:
-                            break  # src shrank under us; partial copy stands
-                        os.pwrite(fd_out, block, offset)
-                        offset += len(block)
-                except OSError as exc:
-                    failures.append(exc)
-
-            threads = [
-                threading.Thread(
-                    target=pump,
-                    args=(i * span, min(size, (i + 1) * span)),
-                    daemon=True,
-                )
-                for i in range(streams)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if failures:
-                raise failures[0]
-        finally:
-            os.close(fd_out)
-    finally:
-        os.close(fd_in)
+        shutil.copy2(src, dest)
+    except shutil.SameFileError:
+        pass
+    return st.st_size
 
 
 def remove_files(paths: list[str], root: str | None = None) -> int:

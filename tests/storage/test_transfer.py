@@ -1,36 +1,24 @@
-"""Real-filesystem transfer primitives: streams, sizes, pruning."""
+"""Real-filesystem transfer primitives: one kernel copy, sizes, pruning.
+
+Every copy is one ``shutil.copy2`` (a kernel ``sendfile`` on Linux); a
+user-space copy loop would hold its blocks in the coordinator's heap, so
+the scan at the bottom keeps ``pread``/``pwrite``/``copyfileobj`` out of
+``src/`` and ``copy2`` inside ``storage/transfer.py``.
+"""
 
 import os
+import tracemalloc
 
 import pytest
 
 from repro.errors import StagingError
-from repro.storage.transfer import (
-    MAX_STREAMS,
-    STREAM_CHUNK,
-    copy_file,
-    plan_streams,
-    remote_relpath,
-    remove_files,
-)
+from repro.storage.transfer import copy_file, remote_relpath, remove_files
+from tests.test_spawn_sites import SRC, _offenders
 
+TRANSFER = SRC / "repro" / "storage" / "transfer.py"
 
-class TestPlanStreams:
-    def test_small_payload_single_stream(self):
-        assert plan_streams(0) == 1
-        assert plan_streams(1) == 1
-        assert plan_streams(STREAM_CHUNK - 1) == 1
-
-    def test_one_stream_per_chunk(self):
-        assert plan_streams(STREAM_CHUNK) == 1
-        assert plan_streams(2 * STREAM_CHUNK) == 2
-        assert plan_streams(3 * STREAM_CHUNK + 5) == 3
-
-    def test_capped_at_max(self):
-        assert plan_streams(100 * STREAM_CHUNK) == MAX_STREAMS
-
-    def test_negative_is_one(self):
-        assert plan_streams(-7) == 1
+#: A multi-MiB payload with an odd tail.
+BIG = (8 << 20) + 12345
 
 
 class TestCopyFile:
@@ -45,6 +33,10 @@ class TestCopyFile:
         with pytest.raises(StagingError):
             copy_file(str(tmp_path / "nope"), str(tmp_path / "d"))
 
+    def test_directory_source_raises_staging_error(self, tmp_path):
+        with pytest.raises(StagingError):
+            copy_file(str(tmp_path), str(tmp_path / "d"))
+
     def test_same_path_noop(self, tmp_path):
         src = tmp_path / "a.bin"
         src.write_bytes(b"hello")
@@ -52,39 +44,45 @@ class TestCopyFile:
         assert src.read_bytes() == b"hello"
 
     def test_multi_stream_copy_is_byte_identical(self, tmp_path):
-        # > 2 chunks with an uneven tail: spans cover the whole payload.
-        payload = os.urandom(2 * STREAM_CHUNK + 12345)
+        payload = os.urandom(BIG)
         src = tmp_path / "big.bin"
         src.write_bytes(payload)
         dest = tmp_path / "out" / "big.bin"
         assert copy_file(str(src), str(dest)) == len(payload)
         assert dest.read_bytes() == payload
 
-    def test_explicit_streams_override(self, tmp_path):
-        payload = os.urandom(STREAM_CHUNK // 2)  # auto-plan would pick 1
-        src = tmp_path / "mid.bin"
-        src.write_bytes(payload)
-        dest = tmp_path / "mid.out"
-        assert copy_file(str(src), str(dest), streams=3) == len(payload)
-        assert dest.read_bytes() == payload
-
     def test_streamed_copy_preserves_mode(self, tmp_path):
-        payload = os.urandom(2 * STREAM_CHUNK)
         src = tmp_path / "exe.bin"
-        src.write_bytes(payload)
+        src.write_bytes(os.urandom(BIG))
         os.chmod(src, 0o755)
+        os.utime(src, ns=(1_000_000_000, 1_234_567_890_000))
         dest = tmp_path / "exe.out"
         copy_file(str(src), str(dest))
-        assert os.stat(dest).st_mode & 0o777 == 0o755
+        st = os.stat(dest)
+        assert st.st_mode & 0o777 == 0o755
+        assert st.st_mtime_ns == 1_234_567_890_000
 
     def test_overwrites_larger_existing_dest(self, tmp_path):
-        payload = os.urandom(2 * STREAM_CHUNK)
+        payload = os.urandom(BIG)
         src = tmp_path / "small.bin"
         src.write_bytes(payload)
         dest = tmp_path / "dest.bin"
-        dest.write_bytes(b"z" * (3 * STREAM_CHUNK))  # stale, larger
+        dest.write_bytes(b"z" * (2 * BIG))  # stale, larger
         copy_file(str(src), str(dest))
         assert dest.read_bytes() == payload
+
+    def test_copy_holds_no_python_buffer(self, tmp_path):
+        src = tmp_path / "basefile.bin"
+        with open(src, "wb") as fh:
+            fh.truncate(16 << 20)
+        tracemalloc.start()
+        try:
+            copy_file(str(src), str(tmp_path / "out.bin"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10, f"copy_file traced a {peak >> 10} KiB peak"
+        assert os.path.getsize(tmp_path / "out.bin") == 16 << 20
 
 
 class TestRemoveFiles:
@@ -150,3 +148,14 @@ class TestRemoteRelpath:
     def test_empty_rejected(self):
         with pytest.raises(StagingError):
             remote_relpath("/")
+
+
+def test_no_user_space_copy_loop_under_src():
+    offenders = _offenders(("os.pread(", "os.pwrite(", "shutil.copyfileobj("), set())
+    assert not offenders, "user-space copy loop under src/:\n" + "\n".join(offenders)
+
+
+def test_copy2_only_in_transfer_module():
+    assert TRANSFER.is_file()
+    offenders = _offenders(("shutil.copy2(",), {TRANSFER})
+    assert not offenders, "shutil.copy2 outside storage/transfer.py:\n" + "\n".join(offenders)
