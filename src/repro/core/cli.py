@@ -128,13 +128,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="records per shard RPC frame with --dispatchers: "
                         "auto (default; adapts to -j) or N >= 1 "
                         "(1 = ship every record immediately)")
-    # Engine extension: in-memory result retention window.
-    p.add_argument("--keep-results", default="auto", dest="keep_results",
-                   metavar="N|all",
-                   help="in-memory results kept on the run summary: N, "
-                        "all (unbounded), or auto (default; a bounded "
-                        "window — joblog/results/metrics sinks remain "
-                        "the durable record)")
     p.add_argument("--link", action="store_true",
                    help="link (zip) input sources instead of crossing them")
     p.add_argument("--wd", "--workdir", dest="workdir", default=None,
@@ -167,11 +160,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    dest="ban_after",
                    help="ban a host after N consecutive transport failures "
                         "(engine extension; default 3)")
-    p.add_argument("--stage-ahead", type=int, default=0, metavar="N",
-                   dest="stage_ahead",
-                   help="prefetch stage-in for up to N queued jobs before "
-                        "a slot frees, off the dispatch critical path "
-                        "(engine extension; default 0 = synchronous)")
     p.add_argument("--nice", type=int, default=None,
                    help="niceness for spawned jobs")
     p.add_argument("-a", "--arg-file", action="append", default=[],
@@ -263,7 +251,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             spawn_path=ns.spawn_path,
             dispatchers=ns.dispatchers,
             rpc_batch=ns.rpc_batch,
-            keep_results=ns.keep_results,
             linebuffer=ns.linebuffer,
             colsep=ns.colsep,
             max_load=ns.max_load,
@@ -281,7 +268,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cleanup=ns.cleanup,
             basefiles=ns.basefiles,
             ban_after=ns.ban_after,
-            stage_ahead=ns.stage_ahead,
         )
         if ns.fault_plan and options.remote:
             raise OptionsError(

@@ -151,7 +151,7 @@ class Parallel:
         if options.keep_results == "auto":
             # map() hands back every return value, so the default bounded
             # retention window must widen to the whole run; an explicit
-            # --keep-results is honoured (and truncates, documented).
+            # keep_results is honoured (and truncates, documented).
             import dataclasses
 
             options = dataclasses.replace(options, keep_results="all")

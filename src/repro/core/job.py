@@ -82,7 +82,7 @@ class RunSummary:
 
     ``results`` is the in-memory retention window: a plain list when the
     run keeps everything, or a bounded ``collections.deque`` (oldest
-    evicted first) when ``--keep-results N`` caps coordinator memory —
+    evicted first) when ``keep_results=N`` caps coordinator memory —
     the regime the paper targets is millions of jobs, where an unbounded
     result list is the difference between O(slots) and O(total) RSS.
     Every aggregate below (``n_completed``, ``exit_counts``, launch-rate

@@ -44,7 +44,7 @@ DEFAULT_JOBS = os.cpu_count() or 1
 #: partially filled frame never represents meaningful queued latency.
 DEFAULT_RPC_BATCH = 32
 
-#: ``--keep-results auto`` retention bound: generous for interactive use
+#: ``keep_results="auto"`` retention bound: generous for interactive use
 #: (every small/medium run behaves exactly as full retention), while a
 #: million-job run holds a fixed-size window instead of the whole list.
 DEFAULT_KEEP_RESULTS = 10_000
@@ -251,7 +251,7 @@ class Options:
     #: 1 disables coalescing: every record ships immediately, the PR6
     #: per-message shape.  Only meaningful with ``--dispatchers`` > 1.
     rpc_batch: Union[int, str] = "auto"
-    #: In-memory result retention (``--keep-results``): ``"auto"``
+    #: In-memory result retention (API only): ``"auto"``
     #: (bounded at DEFAULT_KEEP_RESULTS), ``"all"`` (unbounded — the
     #: pre-PR10 behaviour), or N >= 0 results kept.  Aggregates on
     #: :class:`~repro.core.job.RunSummary` (counts, exit codes, launch
@@ -324,9 +324,6 @@ class Options:
     #: Ban a host after this many *consecutive* transport failures; its
     #: in-flight jobs re-place onto surviving hosts (engine extension).
     ban_after: int = 3
-    #: Prefetch stage-in for up to N queued jobs ahead of slot
-    #: availability (``--stage-ahead``); 0 = fully synchronous staging.
-    stage_ahead: int = 0
 
     # Parsed halt policy (computed in __post_init__).
     halt_spec: HaltSpec = field(init=False, repr=False)
@@ -366,10 +363,6 @@ class Options:
             )
         if self.ban_after < 1:
             raise OptionsError(f"ban_after must be >= 1, got {self.ban_after}")
-        if self.stage_ahead < 0:
-            raise OptionsError(
-                f"--stage-ahead must be >= 0, got {self.stage_ahead}"
-            )
         if self.spawn_path not in ("auto", "posix", "popen"):
             raise OptionsError(
                 f"--spawn-path must be auto, posix or popen, got {self.spawn_path!r}"
@@ -405,13 +398,13 @@ class Options:
             if text not in ("auto", "all"):
                 if not text.isdigit():
                     raise OptionsError(
-                        f"--keep-results must be auto, all or an integer "
+                        f"keep_results must be auto, all or an integer "
                         f">= 0, got {self.keep_results!r}"
                     )
                 self.keep_results = int(text)
         if isinstance(self.keep_results, int) and self.keep_results < 0:
             raise OptionsError(
-                f"--keep-results must be >= 0, got {self.keep_results}"
+                f"keep_results must be >= 0, got {self.keep_results}"
             )
         if not self.remote:
             staging_flags = [
@@ -471,7 +464,7 @@ class Options:
         return int(self.rpc_batch)
 
     def effective_keep_results(self) -> Optional[int]:
-        """Resolve ``--keep-results``: None = keep everything, else a cap."""
+        """Resolve ``keep_results``: None = keep everything, else a cap."""
         if self.keep_results == "all":
             return None
         if self.keep_results == "auto":

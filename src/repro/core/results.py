@@ -35,7 +35,7 @@ __all__ = ["ResultsWriter", "result_dir_for", "retention_buffer"]
 def retention_buffer(keep: "int | None") -> MutableSequence[JobResult]:
     """The in-memory results window for one run.
 
-    ``keep=None`` (full retention, ``--keep-results all``) returns a
+    ``keep=None`` (full retention, ``keep_results="all"``) returns a
     plain list; an integer returns a ``deque(maxlen=keep)`` that evicts
     the oldest result on overflow — coordinator RSS then scales with the
     window, not the job count.  ``RunSummary.record`` counts evictions.

@@ -39,7 +39,6 @@ import re
 import sys
 import threading
 import time
-from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.core.backends.base import Backend
@@ -301,15 +300,11 @@ def run_scheduler(
     # there (e.g. dispatcher shards, whose rpc_frame instants feed the
     # Chrome trace) reports into it from the first job.
     if tracer is not None:
-        bind_tracer = getattr(backend, "bind_tracer", None)
-        if bind_tracer is not None:
-            bind_tracer(tracer)
+        backend.bind_tracer(tracer)
     # Per-run backend setup: merged environments, process pools, remote
     # host pools and staging policy — every per-job-invariant cost a
     # backend can hoist off the hot path.
-    prepare_run = getattr(backend, "prepare_run", None)
-    if prepare_run is not None:
-        prepare_run(options)
+    backend.prepare_run(options)
     # Command-template interning: sharded backends ship the compiled
     # template to every dispatcher shard once, so per-job spawn frames
     # carry only the argument delta (the backend gates on template shape
@@ -332,7 +327,7 @@ def run_scheduler(
     has_sink = emit is not None
     sequencer = OutputSequencer(emit or (lambda r, text: None), options)
 
-    # Bounded in-memory retention (--keep-results): the deque window
+    # Bounded in-memory retention (keep_results): the deque window
     # keeps coordinator RSS O(window + slots) while every aggregate the
     # run report needs is maintained incrementally in summary.record().
     # With an output sink the sink owns each job's stdout, so the window
@@ -482,32 +477,6 @@ def run_scheduler(
             return Job(seq=seq, args=args)
         return None
 
-    # --stage-ahead: keep up to N not-yet-dispatchable jobs pulled from
-    # the input and handed to the backend's staging lane, so their
-    # stage-in overlaps earlier jobs' compute.  Dispatch order is
-    # unchanged — the lookahead is a FIFO the dispatch loop drains first.
-    # Dry runs move no data and --pipe rewrites args at dispatch time, so
-    # both stay strictly lazy.
-    prefetch_hook = getattr(backend, "prefetch_job", None)
-    stage_ahead_n = getattr(options, "stage_ahead", 0)
-    lookahead: deque[Job] = deque()
-    prefetching = (
-        prefetch_hook is not None
-        and stage_ahead_n > 0
-        and not options.dry_run
-        and not options.pipe_mode
-    )
-
-    def refill_lookahead() -> None:
-        if not prefetching:
-            return
-        while len(lookahead) < stage_ahead_n:
-            job = pull_fresh()
-            if job is None:
-                return
-            lookahead.append(job)
-            prefetch_hook(job, options)
-
     def next_job() -> Optional[Job]:
         """Next dispatchable job: eligible retries first, then fresh input.
 
@@ -517,9 +486,6 @@ def run_scheduler(
         job = retry_q.pop_ready(time.time())
         if job is not None:
             return job
-        refill_lookahead()
-        if lookahead:
-            return lookahead.popleft()
         return pull_fresh()
 
     def reap(timeout: Optional[float] = None, notify: bool = True) -> bool:

@@ -99,17 +99,13 @@ class FaultyBackend(Backend):
     def prepare_run(self, options: Options) -> None:
         # Per-run setup (env caches, pools) must reach the real backend
         # even when the fault wrapper sits in between.
-        prepare = getattr(self.inner, "prepare_run", None)
-        if prepare is not None:
-            prepare(options)
+        self.inner.prepare_run(options)
 
     def bind_tracer(self, tracer) -> None:
         # Both layers observe: the wrapper reports injections, the inner
         # backend reports real process spawns/kills.
         super().bind_tracer(tracer)
-        bind = getattr(self.inner, "bind_tracer", None)
-        if bind is not None:
-            bind(tracer)
+        self.inner.bind_tracer(tracer)
 
     def intern_template(self, template, options: Options) -> None:
         # Template interning reaches the real (sharded) backend; the

@@ -15,16 +15,6 @@ only decides *where* each granted job runs.  Per job:
    token;
 5. execute, fetch ``--return`` outputs, ``--cleanup``.
 
-With ``--stage-ahead N`` the backend also owns a bounded *staging lane*
-(a small thread pool built in :meth:`RemoteBackend.prepare_run`): the
-scheduler feeds it up to N not-yet-dispatchable jobs, whose stage-in is
-prefetched to a tentative host while earlier jobs still compute, and
-``--cleanup`` (plus failed-job output salvage) runs on the lane, off the
-dispatch critical path.  Prefetch is purely advisory — a prefetch error
-is swallowed (with the cache entry invalidated) and the job's own
-synchronous staging retries through the ordinary error machinery, so
-semantics match ``--stage-ahead 0`` exactly.
-
 The error split drives health:
 
 * nonzero exit / timeout → ordinary :class:`JobResult` (the scheduler's
@@ -41,10 +31,9 @@ The error split drives health:
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.backends.base import Backend
 from repro.core.job import Job, JobResult, JobState
@@ -56,76 +45,6 @@ from repro.remote.staging import StagingPolicy
 from repro.remote.transport import Transport
 
 __all__ = ["RemoteBackend"]
-
-#: Sentinel telling a staging-lane worker to exit.
-_STOP = None
-
-#: Staging-lane thread-pool ceiling: enough to keep a handful of hosts'
-#: links busy without turning prefetch into its own contention source.
-_LANE_MAX_WORKERS = 4
-
-
-class _StagingLane:
-    """Bounded thread pool for off-critical-path data motion.
-
-    Carries two kinds of work: *prefetch* (stage-in for queued jobs ahead
-    of slot availability) and *post-job* motion (``--cleanup`` removes,
-    failed-job output salvage).  Tasks are plain callables; the lane
-    counts in-flight work so :meth:`drain` can hand a quiesced data plane
-    to ``backend.close()``.
-    """
-
-    def __init__(self, workers: int):
-        self._q: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._pending = 0
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._threads = [
-            threading.Thread(
-                target=self._loop, daemon=True, name=f"repro-staging-{i + 1}"
-            )
-            for i in range(max(1, workers))
-        ]
-        for t in self._threads:
-            t.start()
-
-    def submit(self, fn: Callable[[], None]) -> None:
-        with self._lock:
-            self._pending += 1
-        self._q.put(fn)
-
-    def _loop(self) -> None:
-        while True:
-            fn = self._q.get()
-            if fn is _STOP:
-                return
-            try:
-                fn()
-            finally:
-                with self._idle:
-                    self._pending -= 1
-                    if self._pending == 0:
-                        self._idle.notify_all()
-
-    def drain(self, timeout: float = 30.0) -> bool:
-        """Block until all submitted work has finished (or timeout)."""
-        deadline = time.monotonic() + timeout
-        with self._idle:
-            while self._pending > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
-
-    def close(self, timeout: float = 5.0) -> None:
-        self.drain(timeout)
-        for _ in self._threads:
-            self._q.put(_STOP)
-        deadline = time.monotonic() + timeout
-        for t in self._threads:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-
 
 class RemoteBackend(Backend):
     """Places each job on a host roster through a pluggable transport."""
@@ -149,21 +68,6 @@ class RemoteBackend(Backend):
         self._workdirs: dict[str, str] = {}
         self._wd_lock = threading.Lock()
         self._cancelled = threading.Event()
-        #: Off-critical-path staging lane (``--stage-ahead`` > 0).
-        self._lane: Optional[_StagingLane] = None
-        #: seq -> (host, staged relpaths) recorded by prefetch, so the
-        #: lane's extra references are released when the job completes.
-        self._prefetched: dict[int, tuple[HostSpec, list[str]]] = {}
-        #: Seqs with a prefetch task submitted but not yet landed.
-        self._prefetch_submitted: set[int] = set()
-        #: Seqs whose job finished before their prefetch task ran: the
-        #: late prefetch must self-release instead of recording (a record
-        #: nobody will ever claim would leak its cache references).
-        self._prefetch_claimed: set[int] = set()
-        self._prefetch_lock = threading.Lock()
-        self._prefetch_rr = 0
-        self._prefetched_jobs = 0
-        self._prefetch_errors = 0
 
     @classmethod
     def from_options(
@@ -191,29 +95,13 @@ class RemoteBackend(Backend):
 
     # -- run lifecycle -------------------------------------------------------
     def prepare_run(self, options: Options) -> None:
-        self.ban_after = getattr(options, "ban_after", self.ban_after)
+        self.ban_after = options.ban_after
         self.pool = HostPool(self._hosts, ban_after=self.ban_after)
         self.staging = StagingPolicy.from_options(options)
         self._staging_opts = options
         with self._wd_lock:
             self._workdirs = {}
         self._cancelled = threading.Event()
-        with self._prefetch_lock:
-            self._prefetched = {}
-            self._prefetch_submitted = set()
-            self._prefetch_claimed = set()
-            self._prefetch_rr = 0
-            self._prefetched_jobs = 0
-            self._prefetch_errors = 0
-        if self._lane is not None:
-            self._lane.close()
-            self._lane = None
-        stage_ahead = getattr(options, "stage_ahead", 0)
-        remote_hosts = [h for h in self._hosts if not h.is_local]
-        if stage_ahead > 0 and self.staging.active and remote_hosts:
-            self._lane = _StagingLane(
-                workers=min(_LANE_MAX_WORKERS, len(remote_hosts), stage_ahead)
-            )
 
     def _staging_for(self, options: Options) -> StagingPolicy:
         # Direct run_job callers (tests, wrappers) may skip prepare_run;
@@ -236,11 +124,7 @@ class RemoteBackend(Backend):
 
     def staging_stats(self) -> dict:
         """Data-plane counters for the run summary."""
-        stats = self.staging.staging_stats()
-        with self._prefetch_lock:
-            stats["prefetched_jobs"] = self._prefetched_jobs
-            stats["prefetch_errors"] = self._prefetch_errors
-        return stats
+        return self.staging.staging_stats()
 
     def cancel_all(self) -> None:
         self._cancelled.set()
@@ -249,113 +133,7 @@ class RemoteBackend(Backend):
 
     def close(self) -> None:
         self.pool.abort()
-        if self._lane is not None:
-            # Quiesce outstanding prefetch/cleanup before tearing down the
-            # transport they run on.
-            self._lane.close()
-            self._lane = None
         self.transport.close()
-
-    # -- stage-ahead (called by the scheduler, ahead of dispatch) -------------
-    def prefetch_job(self, job: Job, options: Options) -> None:
-        """Queue stage-in for a not-yet-dispatchable job on the lane.
-
-        Picks a tentative host round-robin over the live roster and
-        stages the job's ``--basefile``/``--transferfile`` inputs there
-        through the content cache.  Purely advisory: any error is
-        swallowed (the cache already invalidated the failed entry) and
-        counted — the job's synchronous stage-in will redo the work and
-        surface the error through the normal retry/host-hopping path.
-        """
-        if self._lane is None or self._cancelled.is_set():
-            return
-        staging = self._staging_for(options)
-        if not staging.prefetchable:
-            return
-        host = self._pick_prefetch_host()
-        if host is None:
-            return
-        with self._prefetch_lock:
-            self._prefetch_submitted.add(job.seq)
-        self._lane.submit(lambda: self._prefetch(host, job, staging))
-
-    def _pick_prefetch_host(self) -> Optional[HostSpec]:
-        candidates = [
-            h for h in self._hosts
-            if not h.is_local and not self.pool.is_banned(h.name)
-        ]
-        if not candidates:
-            return None
-        with self._prefetch_lock:
-            host = candidates[self._prefetch_rr % len(candidates)]
-            self._prefetch_rr += 1
-        return host
-
-    def _prefetch(self, host: HostSpec, job: Job, staging: StagingPolicy) -> None:
-        t0 = time.time()
-        try:
-            workdir = self._workdir_for(host)
-            staging.stage_basefiles(self.transport, host, workdir)
-            staged = staging.stage_in(
-                self.transport, host, job, slot=1, workdir=workdir,
-                tracer=self._tracer,
-            )
-        except Exception as exc:
-            if isinstance(exc, TransportError):
-                staging.invalidate_host(host.name)
-            with self._prefetch_lock:
-                self._prefetch_errors += 1
-                self._prefetch_submitted.discard(job.seq)
-                self._prefetch_claimed.discard(job.seq)
-            if self._tracer is not None:
-                self._tracer.instant(
-                    "prefetch_error", seq=job.seq, host=host.name,
-                    error=str(exc), cat="staging",
-                )
-            return
-        claimed = False
-        with self._prefetch_lock:
-            self._prefetched_jobs += 1
-            self._prefetch_submitted.discard(job.seq)
-            if job.seq in self._prefetch_claimed:
-                # The job already finished (lane lagged behind dispatch):
-                # release our references right here — no one else will.
-                self._prefetch_claimed.discard(job.seq)
-                claimed = True
-            else:
-                self._prefetched[job.seq] = (host, staged)
-        if claimed:
-            self._do_release(host, staged, staging)
-        if self._tracer is not None:
-            self._tracer.span(
-                "stage_in", t0, time.time(), seq=job.seq,
-                host=host.name, cat="staging", prefetch=True,
-            )
-
-    def _do_release(
-        self, host: HostSpec, staged: list, staging: StagingPolicy
-    ) -> None:
-        try:
-            staging.release_prefetched(
-                self.transport, host, staged, self._workdir_for(host),
-            )
-        except Exception:
-            pass  # best-effort: the run may be tearing down this host
-
-    def _release_prefetch(self, job: Job, staging: StagingPolicy) -> None:
-        """Drop the lane's extra references once the job is accounted for."""
-        if self._lane is None:
-            return
-        with self._prefetch_lock:
-            record = self._prefetched.pop(job.seq, None)
-            if record is None:
-                if job.seq in self._prefetch_submitted:
-                    # Prefetch still queued behind us on the lane; mark the
-                    # seq claimed so the late prefetch self-releases.
-                    self._prefetch_claimed.add(job.seq)
-                return
-        host, staged = record
-        self._lane.submit(lambda: self._do_release(host, staged, staging))
 
     # -- per-job path --------------------------------------------------------
     def run_job(
@@ -363,20 +141,6 @@ class RemoteBackend(Backend):
     ) -> JobResult:
         start = time.time()
         staging = self._staging_for(options)
-        try:
-            return self._place_job(job, slot, options, timeout, start, staging)
-        finally:
-            self._release_prefetch(job, staging)
-
-    def _place_job(
-        self,
-        job: Job,
-        slot: int,
-        options: Options,
-        timeout: Optional[float],
-        start: float,
-        staging: StagingPolicy,
-    ) -> JobResult:
         # Enough budget for every host to fail once and the survivors to be
         # tried again, without spinning forever on a dead roster.
         max_hops = max(2 * len(self._hosts), 4)
@@ -513,93 +277,39 @@ class RemoteBackend(Backend):
         workdir: str,
         job_ok: bool,
     ) -> None:
-        """Return-file fetch + cleanup; overlapped where semantics allow.
+        """Fetch the job's ``--return`` files, then ``--cleanup``.
 
-        A *successful* job's stage-out stays on the critical path — a
-        missing return file is part of the job's result (StagingError →
-        exit 255), which an async fetch could no longer report.  A failed
-        job's salvage fetch is best-effort by definition, so with a lane
-        it moves off-path, as does ``--cleanup`` in both cases.
+        A successful job's missing return file raises StagingError (its
+        result becomes exit 255); a failed job's fetch salvages what is
+        there.  Cleanup runs either way, in the ``finally``.
         """
         tracer = self._tracer
-        transport = self.transport
         staged = list(
             dict.fromkeys(
                 rel for _src, rel in staging.transfer_paths(job, lease_slot)
             )
         )
-
-        def salvage_and_cleanup(fetched: Optional[tuple]) -> None:
-            # fetched=None means "salvage first" (failed job moved off-path).
-            t0 = time.time()
-            if fetched is None:
-                fetched = ()
-                try:
-                    fetched = tuple(staging.stage_out(
-                        transport, host, job, lease_slot, workdir, job_ok=False
-                    ))
-                except Exception:
-                    pass  # salvage of a failed job is best-effort
-            try:
-                staging.cleanup_remote(
-                    transport, host, staged, workdir, fetched=fetched
+        fetched: list[str] = []
+        t0 = time.time()
+        try:
+            fetched = staging.stage_out(
+                self.transport, host, job, lease_slot, workdir, job_ok=job_ok
+            )
+        finally:
+            if tracer is not None and staging.returns:
+                tracer.span(
+                    "stage_out", t0, time.time(), seq=job.seq, slot=slot,
+                    host=host.name, cat="staging",
                 )
-            except Exception:
-                pass  # cleanup is best-effort; the host may be gone
+            t1 = time.time()
+            staging.cleanup_remote(
+                self.transport, host, staged, workdir, fetched=tuple(fetched)
+            )
             if tracer is not None and staging.cleanup:
                 tracer.span(
-                    "cleanup", t0, time.time(), seq=job.seq, slot=slot,
-                    host=host.name, cat="staging", deferred=True,
+                    "cleanup", t1, time.time(), seq=job.seq, slot=slot,
+                    host=host.name, cat="staging",
                 )
-
-        if job_ok:
-            # A successful job's stage-out is part of its result: a missing
-            # --return file must surface as StagingError, so it stays sync.
-            # Cleanup still runs (in finally) even when the fetch fails.
-            fetched: list[str] = []
-            t0 = time.time()
-            try:
-                fetched = staging.stage_out(
-                    transport, host, job, lease_slot, workdir, job_ok=True
-                )
-            finally:
-                if tracer is not None and staging.returns:
-                    tracer.span(
-                        "stage_out", t0, time.time(), seq=job.seq, slot=slot,
-                        host=host.name, cat="staging",
-                    )
-                if self._lane is not None:
-                    snapshot = tuple(fetched)
-                    self._lane.submit(lambda: salvage_and_cleanup(snapshot))
-                else:
-                    t1 = time.time()
-                    staging.cleanup_remote(
-                        transport, host, staged, workdir, fetched=tuple(fetched)
-                    )
-                    if tracer is not None and staging.cleanup:
-                        tracer.span(
-                            "cleanup", t1, time.time(), seq=job.seq,
-                            slot=slot, host=host.name, cat="staging",
-                        )
-        else:
-            if self._lane is not None:
-                self._lane.submit(lambda: salvage_and_cleanup(None))
-            else:
-                fetched = []
-                t0 = time.time()
-                try:
-                    fetched = staging.stage_out(
-                        transport, host, job, lease_slot, workdir, job_ok=False
-                    )
-                finally:
-                    if tracer is not None and staging.returns:
-                        tracer.span(
-                            "stage_out", t0, time.time(), seq=job.seq,
-                            slot=slot, host=host.name, cat="staging",
-                        )
-                    staging.cleanup_remote(
-                        transport, host, staged, workdir, fetched=tuple(fetched)
-                    )
 
     def _workdir_for(self, host: HostSpec) -> str:
         with self._wd_lock:

@@ -14,13 +14,19 @@ GNU Parallel semantics, executed over a :class:`~repro.remote.transport.Transpor
     own exit code is the story.
 ``--cleanup``
     Remove every transferred and returned file from the host afterwards
-    (success or failure), pruning emptied directories.
+    (success or failure).  Directories stay: another slot on the host
+    may have just created one for its own output.
 ``--basefile path``
     Like ``--transferfile`` but literal (no per-job render) and staged at
     most once per host per run; never cleaned up mid-run.
 
 The render uses the job's own (args, seq, slot) so ``--transferfile {}``
 or ``--return out/{#}.txt`` track each job exactly as its command does.
+
+Every phase runs in the job's own slot thread, around its command:
+stage-in once the job holds a host lease, stage-out and cleanup once the
+command has exited.  Nothing is staged ahead of the lease, because the
+host a queued job will get is not known before it.
 
 Every transfer goes through the run's
 :class:`~repro.remote.cache.StagingCache`, so transfers are
@@ -104,18 +110,6 @@ class StagingPolicy:
     def active(self) -> bool:
         """True when any staging work exists (skip the whole path if not)."""
         return bool(self.transfer or self.returns or self.basefiles)
-
-    @property
-    def prefetchable(self) -> bool:
-        """True when stage-in can be computed ahead of slot assignment.
-
-        A ``--transferfile`` template referencing ``{%}`` renders
-        differently per slot, which is unknown until the job leases a
-        host — prefetching it would stage the wrong file.
-        """
-        return bool(self.transfer or self.basefiles) and not any(
-            t.uses_slot for t in self.transfer
-        )
 
     # -- per-job rendering ---------------------------------------------------
     def transfer_paths(self, job: "Job", slot: int) -> list[tuple[str, str]]:
@@ -249,29 +243,6 @@ class StagingPolicy:
             return 0
         try:
             return transport.remove(host, doomed, workdir)
-        finally:
-            self.cache.removal_done(host, releasable)
-
-    def release_prefetched(
-        self, transport: "Transport", host: "HostSpec",
-        relpaths: list[str], workdir: str,
-    ) -> int:
-        """Drop a prefetch's extra references (after its job completed).
-
-        Mirrors :meth:`cleanup_remote` for the reference the staging lane
-        took when it staged ahead: without ``--cleanup`` the refcount drop
-        is bookkeeping only; with it, a last-reference file is removed.
-        """
-        if not relpaths or not self.cleanup:
-            # Without --cleanup references are never acted on, so the
-            # release is skipped entirely: entries stay cached (and
-            # dedupable) for the rest of the run.
-            return 0
-        releasable = self.cache.release(host, relpaths)
-        if not releasable:
-            return 0
-        try:
-            return transport.remove(host, releasable, workdir)
         finally:
             self.cache.removal_done(host, releasable)
 

@@ -15,7 +15,12 @@ from repro.core.joblog import read_joblog
 from repro.core.template import CommandTemplate
 from repro.faults import FaultPlan, FaultSpec, FaultyTransport
 from repro.obs import RunTracer
-from repro.remote import RemoteBackend, SimTransport, parse_sshlogin
+from repro.remote import (
+    LocalTransport, RemoteBackend, SimTransport, parse_sshlogin,
+)
+from tests.remote.test_staging_parity import (  # noqa: F401 (fixture)
+    baseline, observable, run_variant,
+)
 
 FOUR_HOSTS = "2/n1,2/n2,2/n3,2/n4"
 
@@ -197,3 +202,37 @@ class TestHostDiesMidRun:
         assert {e.data["host"] for e in sink.named("host_banned")} == {
             "n1", "n2", "n3", "n4"
         }
+
+
+class TestStagedHostDeath:
+    """Hosts die under ``--transferfile``/``--return``/``--cleanup`` on
+    real per-host roots: the run's output must match the staging parity
+    baseline after re-placement and cache invalidation."""
+
+    def test_host_death_mid_run_reroutes_without_stale_reuse(
+        self, tmp_path, baseline
+    ):
+        """n1 dies after 2 completed commands: its jobs must re-place,
+        its cache entries must be invalidated (no job may trust files on
+        the dead host), and the user-visible output must match."""
+        root = tmp_path / "chaos"
+        root.mkdir()
+        transport = FaultyTransport(LocalTransport(), host_down_after={"n1": 2})
+        summary = run_variant(root, transport=transport, ban_after=2)
+        assert summary.ok
+        assert observable(root, summary) == baseline
+        assert transport.injected.get("host_down", 0) > 0
+
+    def test_all_but_one_host_down_still_completes(self, tmp_path, baseline):
+        """Every named host but one dies after one command: the run must
+        still finish with correct output via the survivor."""
+        root = tmp_path / "survivor"
+        root.mkdir()
+        transport = FaultyTransport(
+            LocalTransport(),
+            host_down_after={"n1": 1, "n2": 1, "n3": 1},
+        )
+        summary = run_variant(root, transport=transport, ban_after=1)
+        assert summary.ok
+        assert observable(root, summary) == baseline
+        assert transport.injected.get("host_down", 0) > 0

@@ -193,22 +193,6 @@ def test_rpc_batch_flag_parses_and_runs():
     assert out.splitlines() == ["a", "b", "c"]
 
 
-def test_keep_results_flag_parses_and_runs():
-    code, out = run_cli(
-        ["-k", "--keep-results", "2", "echo", "{}", ":::", "a", "b", "c"]
-    )
-    assert code == 0
-    assert out.splitlines() == ["a", "b", "c"]  # output plane unaffected
-
-
-def test_keep_results_all_literal():
-    code, out = run_cli(
-        ["-k", "--keep-results", "all", "echo", "{}", ":::", "x"]
-    )
-    assert code == 0
-    assert out.splitlines() == ["x"]
-
-
 def test_rpc_batch_bad_value_reports_error(capsys):
     code = main(["--rpc-batch", "zero", "echo", "{}", ":::", "a"])
     assert code != 0

@@ -253,45 +253,6 @@ class TestCachedCleanup:
         assert "out.txt" not in st.files["h1"]
         assert "in.txt" in st.files["h1"]
 
-    def test_release_prefetched_without_cleanup_keeps_entry(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "in.txt").write_bytes(b"x")
-        pol = StagingPolicy.from_options(self.opts(
-            transfer_files=["in.txt"], cleanup=False,
-        ))
-        st = SimTransport()
-        pol.stage_in(st, H1, job(seq=1), 1, "w")
-        assert pol.release_prefetched(st, H1, ["in.txt"], "w") == 0
-        assert "in.txt" in st.files["h1"]
-        # And the entry is still dedupable afterwards (no leaked gate).
-        before = st.elapsed(H1)
-        pol.stage_in(st, H1, job(seq=2), 2, "w")
-        assert st.elapsed(H1) == pytest.approx(before)
-
-    def test_release_prefetched_with_cleanup_removes_last_ref(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "in.txt").write_bytes(b"x")
-        pol = StagingPolicy.from_options(self.opts(
-            transfer_files=["in.txt"], cleanup=True,
-        ))
-        st = SimTransport()
-        pol.stage_in(st, H1, job(seq=1), 1, "w")
-        pol.release_prefetched(st, H1, ["in.txt"], "w")
-        assert "in.txt" not in st.files["h1"]
-
-    def test_prefetchable_gates_on_slot_templates(self):
-        pol = StagingPolicy.from_options(self.opts(
-            transfer_files=["in/{%}.txt"],
-        ))
-        assert not pol.prefetchable
-        pol = StagingPolicy.from_options(self.opts(transfer_files=["in/{}.txt"]))
-        assert pol.prefetchable
-        assert not StagingPolicy.from_options(self.opts()).prefetchable
-
 
 class TestOptionsValidation:
     def test_staging_flags_require_remote(self):

@@ -1,11 +1,11 @@
-"""Staging parity: cache and overlap must never change job-visible output.
+"""Staging parity: the cache must never change job-visible output.
 
-The content-addressed cache and the ``--stage-ahead`` lane are pure
-*cost* optimizations — every run here asserts byte-for-byte the stdout,
-joblog accounting (seqs, exit codes) and returned files that the inputs
-alone determine.  The chaos leg kills a host mid-run (prefetches in
-flight) and requires the same guarantee to survive re-placement and
-cache invalidation.
+The content-addressed cache is a pure *cost* optimization: every run
+here asserts byte-for-byte the stdout, joblog accounting (seqs, exit
+codes) and returned files that the inputs alone determine.  The
+host-death legs that hold the same guarantee across re-placement and
+cache invalidation live in ``tests/chaos/test_remote_chaos.py`` and
+reuse :func:`run_variant`, :func:`observable` and :func:`baseline`.
 """
 
 import os
@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.engine import Parallel
 from repro.core.joblog import read_joblog
-from repro.faults import FaultyTransport
-from repro.remote import LocalTransport
+from repro.core.template import CommandTemplate
+from repro.remote import LocalTransport, RemoteBackend, parse_sshlogin
 
 # One slot per host: each host runs its jobs one after another, so the
 # cache counters asserted below do not depend on same-host interleaving.
@@ -49,9 +49,6 @@ def run_variant(root, *, transport=None, **kw):
         kw.setdefault("joblog", str(root / "joblog.tsv"))
         engine = Parallel(COMMAND, **kw)
         if transport is not None:
-            from repro.core.template import CommandTemplate
-            from repro.remote import RemoteBackend, parse_sshlogin
-
             backend = RemoteBackend(
                 parse_sshlogin(kw["sshlogin"][0]), transport,
                 template=CommandTemplate(COMMAND),
@@ -99,7 +96,7 @@ class TestParity:
     def test_cached_matches_uncached(self, tmp_path, baseline):
         root = tmp_path / "cached"
         root.mkdir()
-        summary = run_variant(root, stage_ahead=0)
+        summary = run_variant(root)
         assert summary.ok
         assert observable(root, summary) == baseline
         assert summary.staging["files_staged"] > 0
@@ -116,59 +113,11 @@ class TestParity:
         which the user-visible observables cannot see — parity holds."""
         root = tmp_path / "nocleanup"
         root.mkdir()
-        summary = run_variant(
-            root, stage_ahead=0, cleanup=False,
-        )
+        summary = run_variant(root, cleanup=False)
         assert summary.ok
         assert observable(root, summary) == baseline
         assert summary.staging["cache_hits"] >= len(INPUTS) - 4
         assert summary.staging["bytes_staged_avoided"] > 0
-
-    @pytest.mark.parametrize("ahead", [2, 6])
-    def test_stage_ahead_matches_synchronous(self, tmp_path, baseline, ahead):
-        root = tmp_path / f"ahead{ahead}"
-        root.mkdir()
-        summary = run_variant(root, stage_ahead=ahead)
-        assert summary.ok
-        assert observable(root, summary) == baseline
-        assert summary.staging.get("prefetched_jobs", 0) > 0
-
-
-class TestChaosLeg:
-    def test_host_death_mid_prefetch_reroutes_without_stale_reuse(
-        self, tmp_path, baseline
-    ):
-        """n1 dies after 2 completed commands while the staging lane is
-        prefetching ahead: its jobs must re-place, its cache entries must
-        be invalidated (no job may trust files on the dead host), and the
-        run's user-visible output must still match the baseline."""
-        root = tmp_path / "chaos"
-        root.mkdir()
-        transport = FaultyTransport(LocalTransport(), host_down_after={"n1": 2})
-        summary = run_variant(
-            root, transport=transport,
-            stage_ahead=4, ban_after=2,
-        )
-        assert summary.ok
-        assert observable(root, summary) == baseline
-        assert transport.injected.get("host_down", 0) > 0
-
-    def test_all_prefetch_hosts_down_still_completes(self, tmp_path, baseline):
-        """Prefetch errors are advisory: with every named host dying after
-        a couple of commands except one, the run must still finish with
-        correct output via the survivor."""
-        root = tmp_path / "survivor"
-        root.mkdir()
-        transport = FaultyTransport(
-            LocalTransport(),
-            host_down_after={"n1": 1, "n2": 1, "n3": 1},
-        )
-        summary = run_variant(
-            root, transport=transport,
-            stage_ahead=4, ban_after=1,
-        )
-        assert summary.ok
-        assert observable(root, summary) == baseline
 
 
 def trace_cats(trace_path):
@@ -189,9 +138,7 @@ class TestTraceSurface:
         root = tmp_path / "traced"
         root.mkdir()
         trace_path = root / "trace.json"
-        summary = run_variant(
-            root, stage_ahead=0, cleanup=False, trace=str(trace_path),
-        )
+        summary = run_variant(root, cleanup=False, trace=str(trace_path))
         assert summary.ok
         doc, cats = trace_cats(trace_path)
         assert ("stage_in", "staging") in cats
@@ -204,10 +151,38 @@ class TestTraceSurface:
         root = tmp_path / "traced-cleanup"
         root.mkdir()
         trace_path = root / "trace.json"
-        summary = run_variant(
-            root, stage_ahead=0, trace=str(trace_path),
-        )
+        summary = run_variant(root, trace=str(trace_path))
         assert summary.ok
         _doc, cats = trace_cats(trace_path)
         assert ("stage_in", "staging") in cats
         assert ("cleanup", "staging") in cats
+
+    def test_failed_job_emits_cleanup_span(self, tmp_path, monkeypatch):
+        """A failed job salvages its --return file and cleans up like a
+        successful one, and its trace shows the same cleanup span."""
+        root = tmp_path / "failed"
+        root.mkdir()
+        populate(root)
+        hosts = tmp_path / "hosts"
+        trace_path = root / "trace.json"
+        command = "mkdir -p out && cat in/{}.txt > out/{}.txt; exit 3"
+        backend = RemoteBackend(
+            parse_sshlogin("1/n1"), LocalTransport(root=str(hosts)),
+            template=CommandTemplate(command),
+        )
+        monkeypatch.chdir(root)
+        summary = Parallel(
+            command, backend=backend, sshlogin=["1/n1"],
+            transfer_files=["in/{}.txt"], return_files=["out/{}.txt"],
+            cleanup=True, trace=str(trace_path),
+        ).run(["f00"])
+        assert [r.exit_code for r in summary.results] == [3]
+        doc, _cats = trace_cats(trace_path)
+        cleanups = [
+            e for e in doc["traceEvents"]
+            if e.get("ph") == "X" and (e.get("name"), e.get("cat"))
+            == ("cleanup", "staging")
+        ]
+        assert [e["args"]["seq"] for e in cleanups] == [1]
+        assert (root / "out" / "f00.txt").read_text() == "payload of f00\n"
+        assert [p for p in hosts.rglob("*") if not p.is_dir()] == []

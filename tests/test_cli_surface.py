@@ -26,7 +26,6 @@ LONG_OPTIONS = [
     "--joblog",
     "--jobs",
     "--keep-order",
-    "--keep-results",
     "--linebuffer",
     "--link",
     "--load",
@@ -50,7 +49,6 @@ LONG_OPTIONS = [
     "--spawn-path",
     "--sshlogin",
     "--sshloginfile",
-    "--stage-ahead",
     "--tag",
     "--tagstring",
     "--timeout",
@@ -69,4 +67,4 @@ def test_long_options_match_committed_list():
         and "--help" not in action.option_strings
     )
     assert found == LONG_OPTIONS
-    assert len(LONG_OPTIONS) == 47
+    assert len(LONG_OPTIONS) == 45
