@@ -41,7 +41,8 @@ class CallableBackend(Backend):
             raise TypeError(f"CallableBackend needs a callable, got {func!r}")
         self.func = func
         self.host = "local"
-        self._cancelled = threading.Event()
+        #: Set by cancel_all (--halt now); a plain flag, read once per job.
+        self._cancelled = False
 
     def renew(self) -> "CallableBackend":
         return CallableBackend(self.func)
@@ -50,7 +51,7 @@ class CallableBackend(Backend):
         self, job: Job, slot: int, options: Options, timeout: float | None = None
     ) -> JobResult:
         start = time.time()
-        if self._cancelled.is_set():
+        if self._cancelled:
             return self._result(job, slot, -1, None, "", start, start, JobState.KILLED)
 
         if timeout is None:
@@ -72,7 +73,7 @@ class CallableBackend(Backend):
             remaining = deadline - time.time()
             if remaining <= 0:
                 break
-            if self._cancelled.is_set():
+            if self._cancelled:
                 end = time.time()
                 return self._result(
                     job, slot, -1, None, "", start, end, JobState.KILLED,
@@ -82,16 +83,22 @@ class CallableBackend(Backend):
         if "result" in box:
             return box["result"]
         end = time.time()
+        # The notice is diagnostics, not the job's output.
         return self._result(
-            job, slot, -1, None, f"timeout after {timeout}s", start, end, JobState.TIMED_OUT
+            job, slot, -1, None, "", start, end, JobState.TIMED_OUT,
+            f"timeout after {timeout}s",
         )
 
     def _invoke(self, job: Job, slot: int, start: float) -> JobResult:
+        # Every job that runs comes through here; the success result is
+        # built positionally, with no further call in between.
         try:
             value = self.func(*job.args)
             end = time.time()
-            stdout = "" if value is None else str(value)
-            return self._result(job, slot, 0, value, stdout, start, end, JobState.SUCCEEDED, "")
+            return JobResult(
+                job.seq, job.args, job.command, 0, "" if value is None else str(value),
+                "", start, end, slot, self.host, job.attempt, JobState.SUCCEEDED, value,
+            )
         except Exception:
             end = time.time()
             return self._result(
@@ -99,7 +106,7 @@ class CallableBackend(Backend):
             )
 
     def cancel_all(self) -> None:
-        self._cancelled.set()
+        self._cancelled = True
 
     def _result(
         self,

@@ -44,9 +44,15 @@ class Job:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class JobResult:
-    """Outcome of one job attempt (the last attempt, after retries)."""
+    """Outcome of one job attempt (the last attempt, after retries).
+
+    Every backend builds one per job.  ``slots=True`` drops the
+    per-instance ``__dict__``, and the hand-written ``__init__`` sets the
+    slots through one bound local instead of the generated initializer's
+    per-field global lookup.
+    """
 
     seq: int
     args: tuple[str, ...]
@@ -64,6 +70,38 @@ class JobResult:
     state: JobState = JobState.SUCCEEDED
     #: Python-level return value when running callables instead of commands.
     value: object = None
+
+    def __init__(
+        self,
+        seq: int,
+        args: tuple[str, ...],
+        command: str,
+        exit_code: int,
+        stdout: str = "",
+        stderr: str = "",
+        start_time: float = 0.0,
+        end_time: float = 0.0,
+        slot: int = 0,
+        host: str = "",
+        attempt: int = 1,
+        state: JobState = JobState.SUCCEEDED,
+        value: object = None,
+    ) -> None:
+        # Frozen: fields are set past the raising __setattr__.
+        set_ = object.__setattr__
+        set_(self, "seq", seq)
+        set_(self, "args", args)
+        set_(self, "command", command)
+        set_(self, "exit_code", exit_code)
+        set_(self, "stdout", stdout)
+        set_(self, "stderr", stderr)
+        set_(self, "start_time", start_time)
+        set_(self, "end_time", end_time)
+        set_(self, "slot", slot)
+        set_(self, "host", host)
+        set_(self, "attempt", attempt)
+        set_(self, "state", state)
+        set_(self, "value", value)
 
     @property
     def runtime(self) -> float:

@@ -416,7 +416,9 @@ def run_scheduler(
         if tracer is not None:
             tracer.job_running(job.seq, job.attempt, slot)
         try:
-            result = backend.run_job(job, slot, options, timeout=effective_timeout())
+            # Only the dynamic --timeout form needs a call per job.
+            timeout = effective_timeout() if dynamic_pct is not None else fixed_timeout
+            result = backend.run_job(job, slot, options, timeout=timeout)
             if dynamic_pct is not None and result.state == JobState.SUCCEEDED:
                 with median_lock:
                     median_stream.push(result.runtime)
@@ -483,9 +485,10 @@ def run_scheduler(
         None means no fresh input remains — retries still backing off may
         be waiting in ``retry_q``.
         """
-        job = retry_q.pop_ready(time.time())
-        if job is not None:
-            return job
+        if retry_q:
+            job = retry_q.pop_ready(time.time())
+            if job is not None:
+                return job
         return pull_fresh()
 
     def reap(timeout: Optional[float] = None, notify: bool = True) -> bool:
@@ -595,7 +598,7 @@ def run_scheduler(
                     continue
             # Retries outrank fresh input at every dispatch point (a failed
             # job must not starve behind a stream of new work).
-            ready_retry = retry_q.pop_ready(time.time())
+            ready_retry = retry_q.pop_ready(time.time()) if retry_q else None
             if ready_retry is not None:
                 job = ready_retry
             else:

@@ -19,7 +19,14 @@ __all__ = ["SlotPool"]
 
 
 class SlotPool:
-    """Thread-safe pool of slot numbers 1..capacity, granted lowest-first."""
+    """Thread-safe pool of slot numbers 1..capacity, granted lowest-first.
+
+    One lock guards the heap and the held set; a blocking ``acquire``
+    waits on a condition over that same lock only when the heap is
+    empty.  The scheduler grants and frees a slot per job, so the
+    common path is one uncontended lock round trip each way, with no
+    ``threading.Semaphore`` (a pure-Python condition) in front of it.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -32,18 +39,24 @@ class SlotPool:
         #: release, a per-job cost).
         self._held: set[int] = set()
         self._lock = threading.Lock()
-        self._available = threading.Semaphore(capacity)
+        self._freed = threading.Condition(self._lock)
+        #: Threads parked in ``acquire``; ``release`` notifies only if any.
+        self._waiters = 0
 
     def acquire(self, blocking: bool = True, timeout: float | None = None) -> int | None:
         """Take the lowest free slot number; None on timeout/non-blocking miss."""
-        if blocking:
-            acquired = self._available.acquire(blocking=True, timeout=timeout)
-        else:
-            acquired = self._available.acquire(blocking=False)
-        if not acquired:
-            return None
         with self._lock:
-            slot = heapq.heappop(self._free)
+            free = self._free
+            if not free:
+                if not blocking:
+                    return None
+                self._waiters += 1
+                try:
+                    if not self._freed.wait_for(lambda: free, timeout):
+                        return None
+                finally:
+                    self._waiters -= 1
+            slot = heapq.heappop(free)
             self._held.add(slot)
             return slot
 
@@ -54,9 +67,10 @@ class SlotPool:
         with self._lock:
             if slot not in self._held:
                 raise OptionsError(f"slot {slot} released twice")
-            self._held.discard(slot)
+            self._held.remove(slot)
             heapq.heappush(self._free, slot)
-        self._available.release()
+            if self._waiters:
+                self._freed.notify()
 
     @property
     def in_use(self) -> int:

@@ -74,3 +74,21 @@ def test_callable_timeout_abandons_runaway_thread():
     result = backend.run_job(job, 1, Options(jobs=1), timeout=0.2)
     assert time.time() - start < 5
     assert result.state == JobState.TIMED_OUT
+
+
+def test_callable_timeout_notice_goes_to_stderr_not_output():
+    import io
+    import time
+
+    def job(x):
+        if x == "slow":
+            time.sleep(0.5)
+        return x
+
+    sink = io.StringIO()
+    summary = Parallel(job, jobs=2, timeout=0.1, output=sink).run(["fast", "slow"])
+    assert sink.getvalue() == "fast"  # nothing of the slow job reaches the output
+    slow = summary.sorted_results()[1]
+    assert slow.state == JobState.TIMED_OUT
+    assert slow.stdout == ""
+    assert slow.stderr == "timeout after 0.1s"

@@ -1,6 +1,8 @@
 """Slot-pool semantics: the contract behind ``{%}``."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -78,3 +80,101 @@ def test_slot_numbers_never_exceed_capacity_under_contention():
     for t in threads:
         t.join()
     assert seen and all(1 <= s <= 8 for s in seen)
+
+
+def _acquire_in_thread(pool, got):
+    thread = threading.Thread(target=lambda: got.append(pool.acquire()), daemon=True)
+    thread.start()
+    return thread
+
+
+def test_blocking_acquire_parks_until_release():
+    pool = SlotPool(2)
+    pool.acquire()
+    held = pool.acquire()
+    got = []
+    thread = _acquire_in_thread(pool, got)
+    thread.join(timeout=0.05)
+    assert thread.is_alive() and got == []  # parked on the full pool
+    released_at = time.monotonic()
+    pool.release(held)
+    thread.join(timeout=1.0)
+    assert not thread.is_alive()
+    assert time.monotonic() - released_at < 1.0
+    assert got == [held]
+    assert pool.in_use == 2
+
+
+def test_acquire_timeout_on_full_pool_returns_none():
+    pool = SlotPool(1)
+    pool.acquire()
+    started = time.monotonic()
+    assert pool.acquire(timeout=0.05) is None
+    assert time.monotonic() - started >= 0.05
+    assert pool.in_use == 1
+
+
+def test_nonblocking_miss_takes_nothing():
+    pool = SlotPool(2)
+    a, b = pool.acquire(), pool.acquire()
+    assert pool.acquire(blocking=False) is None
+    assert pool.in_use == 2
+    pool.release(b)
+    assert pool.acquire(blocking=False) == b
+    pool.release(a)
+    assert pool.acquire(blocking=False) == a
+    assert pool.acquire(blocking=False) is None
+
+
+def test_two_waiters_two_releases_wake_both():
+    pool = SlotPool(2)
+    a, b = pool.acquire(), pool.acquire()
+    got = []
+    threads = [_acquire_in_thread(pool, got) for _ in range(2)]
+    for thread in threads:
+        thread.join(timeout=0.05)
+    assert got == []
+    pool.release(a)
+    pool.release(b)
+    for thread in threads:
+        thread.join(timeout=1.0)
+        assert not thread.is_alive()
+    assert sorted(got) == [1, 2]
+    assert pool.in_use == 2
+
+
+def test_no_slot_granted_twice_under_forced_switching():
+    """Blocking waiters on a small pool: a slot is never held by two
+    threads at once, and every thread finishes (no lost wakeup)."""
+    pool = SlotPool(3)
+    holders = {}
+    clashes = []
+    lock = threading.Lock()
+
+    def worker(name):
+        for _ in range(200):
+            s = pool.acquire(timeout=5.0)
+            if s is None:
+                clashes.append("timed out")
+                return
+            with lock:
+                if s in holders:
+                    clashes.append(s)
+                holders[s] = name
+            with lock:
+                del holders[s]
+            pool.release(s)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(12)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert clashes == []
+    assert pool.in_use == 0
