@@ -480,8 +480,18 @@ class _ExecEnv:
 #: a few cwds.
 _exec_envs: "dict[tuple, _ExecEnv]" = {}
 _EXEC_ENVS_MAX = 64
-if hasattr(os, "register_at_fork"):  # a forked worker has its own PPID
-    os.register_at_fork(after_in_child=_exec_envs.clear)
+_exec_envs_lock = threading.Lock()
+
+
+def _reset_exec_envs() -> None:
+    """A forked worker has its own PPID, and no thread holding the lock."""
+    global _exec_envs_lock
+    _exec_envs.clear()
+    _exec_envs_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_exec_envs)
 
 
 def _exec_env(env: "dict[str, str] | None", cwd: "str | None",
@@ -498,10 +508,15 @@ def _exec_env(env: "dict[str, str] | None", cwd: "str | None",
     key = (id(source), cwd, here, shell)
     entry = _exec_envs.get(key)
     if entry is None or entry.source is not source or entry.snapshot != source:
-        entry = _ExecEnv(env, source, cwd, shell)
-        if len(_exec_envs) >= _EXEC_ENVS_MAX:
-            _exec_envs.clear()
-        _exec_envs[key] = entry
+        # Built once: slot threads starting a run's first jobs together
+        # wait for one probe instead of each running their own.
+        with _exec_envs_lock:
+            entry = _exec_envs.get(key)
+            if entry is None or entry.source is not source or entry.snapshot != source:
+                entry = _ExecEnv(env, source, cwd, shell)
+                if len(_exec_envs) >= _EXEC_ENVS_MAX:
+                    _exec_envs.clear()
+                _exec_envs[key] = entry
     return entry
 
 

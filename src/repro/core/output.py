@@ -90,7 +90,7 @@ class OutputSequencer:
         #: Sequence numbers whose stdout already went out incrementally
         #: (``--linebuffer`` streaming); their push suppresses the buffered
         #: re-emission.  Guarded by ``_emit_lock`` — stream callbacks run
-        #: on the job's slot thread, pushes on the scheduler thread.
+        #: on the job's slot thread, pushes on the caller's thread.
         self._streamed: set[int] = set()
         self._emit_lock = threading.Lock()
 

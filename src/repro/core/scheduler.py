@@ -12,20 +12,34 @@ Reproduces GNU Parallel's job-control behaviour:
 * ``--keep-order`` output sequencing, ``--tag`` prefixes,
 * ``--results`` capture trees, ``--dry-run``.
 
-Execution model: a pool of at most ``-j`` *persistent* worker threads is
-fed through an in-memory dispatch queue; each worker loops "take job →
-``backend.run_job`` → post completion".  GNU Parallel forks one process
+Execution model: at most ``-j`` *persistent* slot threads run jobs, and
+each finishes its own.  When ``backend.run_job`` returns, the slot
+thread takes the run lock, *completes* the job (joblog, retry re-queue,
+summary, halt check, slot release) and *admits* the next one (a ready
+retry or else fresh input, on the lowest free slot, rendered and
+stamped), then runs that job itself: no queue and no other thread sits
+between one job and the next.  A slot thread parks on the dispatch queue
+only when ``admit`` has nothing for it.  GNU Parallel forks one process
 per job, but its *perl-side* bookkeeping per job is tiny — that is the
-cost model this pool reproduces.  Spawning an OS thread per job (the
-previous design) put ~100 µs of thread start/join on the per-job hot
-path, which dominates exactly the single-node launch-rate regime the
-paper's Fig. 3 stress test measures.
+cost model this reproduces.
 
-Ordering invariant (retry fairness): a worker posts its completion and
-the *scheduler* releases the job's slot only after the completion has
-been fully handled.  A free slot therefore proves the completion that
-freed it — including any retry re-queue — has been processed, so retries
-can never starve behind a stream of fresh input racing freed slots.
+The caller's thread (the one in :func:`run_scheduler`) does the first
+fill, every timed wait (``--delay``, ``--load``/``--memfree``, retry
+backoff, the ``--halt now`` grace, shutdown) and all work that calls
+user code or writes output: the output sink through
+:class:`OutputSequencer`, ``--results`` files and progress callbacks.
+That work reaches it on one event queue, in the order the run lock saw
+it, so no sink runs while the lock is held.  A run with no sink, no
+progress callback and no ``--results`` queues nothing there.  When the
+caller's thread lags ``_BACKLOG_PER_SLOT`` results per slot behind,
+``admit`` starts nothing until it catches up, so a slow sink holds back
+new jobs instead of letting results pile up in memory.
+
+Ordering invariant (retry fairness): a job's slot is released only after
+its completion — including any retry re-queue — has been handled, under
+the same lock hold.  A free slot therefore proves the completion that
+freed it has been processed, so retries can never starve behind a
+stream of fresh input racing freed slots.
 """
 
 from __future__ import annotations
@@ -58,8 +72,21 @@ if TYPE_CHECKING:  # imported under --trace/--metrics only
 
 __all__ = ["run_scheduler"]
 
-#: Sentinel telling a pool worker to exit its take-run-post loop.
+#: Sentinel telling a slot thread to exit.
 _STOP = None
+
+#: Items on the caller's event queue: ``_WAKE`` (look at the run again),
+#: or ``(op, payload, done, failed)`` where ``op`` is ``_PUSH`` (payload:
+#: a final result to write and emit) or ``_SKIP`` (payload: a
+#: ``--resume``'d seq), and ``done``/``failed`` are progress counts.
+_WAKE = object()
+_PUSH = 0
+_SKIP = 1
+
+#: Finished results, per slot, that may wait for the caller's thread
+#: before admission pauses: a slow sink holds back new starts instead of
+#: letting results pile up in memory.
+_BACKLOG_PER_SLOT = 4
 
 #: Initial --load/--memfree poll interval; doubles up to
 #: ``_THROTTLE_POLL_MAX``.
@@ -166,36 +193,33 @@ class _RetryQueue:
 
 
 class _WorkerPool:
-    """Persistent worker threads fed by an in-memory dispatch queue.
+    """Persistent slot threads fed by an in-memory dispatch queue.
 
-    Workers loop ``take (job, slot) → run_one → post completion``; none
-    of the per-job thread create/start/join cost of the previous
-    thread-per-job design remains.  The pool grows lazily with observed
-    concurrency (slot-gating bounds in-flight jobs, so it can never
-    exceed ``capacity``).  Threads are daemons: a worker wedged inside a backend cannot
-    block interpreter exit after the bounded shutdown join.
+    Each thread loops ``take (job, slot) → run_slot(job, slot)``, and
+    ``run_slot`` keeps running the jobs the run admits to it; the thread
+    is back on the queue only when there was nothing to admit.  None of
+    the per-job thread create/start/join cost of a thread-per-job design
+    remains.  The pool grows lazily with observed concurrency
+    (slot-gating bounds in-flight jobs, so it can never exceed
+    ``capacity``).  Threads are daemons: a thread wedged inside a
+    backend cannot block interpreter exit after the bounded shutdown
+    join.
     """
 
-    def __init__(
-        self,
-        capacity: int,
-        run_one: Callable[[Job, int], JobResult],
-        done_q: "queue.SimpleQueue",
-    ):
+    def __init__(self, capacity: int, run_slot: Callable[[Job, int], None]):
         self.capacity = capacity
-        self._run_one = run_one
-        self._done_q = done_q
+        self._run_slot = run_slot
         self._dispatch_q: "queue.SimpleQueue" = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
 
     @property
     def size(self) -> int:
-        """Workers spawned so far (monotone within a run, <= capacity)."""
+        """Threads spawned so far (monotone within a run, <= capacity)."""
         return len(self._threads)
 
     @property
     def queue_depth(self) -> int:
-        """Jobs queued for dispatch, not yet taken by a worker (a gauge)."""
+        """Jobs queued for dispatch, not yet taken by a thread (a gauge)."""
         return self._dispatch_q.qsize()
 
     def submit(self, job: Job, slot: int, active: int) -> None:
@@ -214,16 +238,15 @@ class _WorkerPool:
         thread.start()
 
     def _worker_loop(self) -> None:
+        get, run_slot = self._dispatch_q.get, self._run_slot
         while True:
-            item = self._dispatch_q.get()
+            item = get()
             if item is _STOP:
                 return
-            job, slot = item
-            result = self._run_one(job, slot)
-            self._done_q.put((job, slot, result))
+            run_slot(*item)
 
     def shutdown(self, deadline: float) -> int:
-        """Stop workers, joining until ``deadline`` (monotonic seconds).
+        """Stop the threads, joining until ``deadline`` (monotonic seconds).
 
         Returns the number of threads still alive (wedged in a backend);
         they are daemons and die with the process.
@@ -325,44 +348,63 @@ def run_scheduler(
 
     results_writer = ResultsWriter(options.results) if options.results else None
     has_sink = emit is not None
-    sequencer = OutputSequencer(emit or (lambda r, text: None), options)
+    # Only a sink needs output ordered: without one there is nothing to emit.
+    sequencer = OutputSequencer(emit, options) if emit is not None else None
 
     # Bounded in-memory retention (keep_results): the deque window
     # keeps coordinator RSS O(window + slots) while every aggregate the
     # run report needs is maintained incrementally in summary.record().
     # With an output sink the sink owns each job's stdout, so the window
-    # keeps the record without the text (see _handle_completion).
+    # keeps the record without the text (see record()).
     summary = RunSummary(
         results=retention_buffer(options.effective_keep_results())
     )
 
-    def notify_progress() -> None:
-        if progress is None:
-            return
-        from repro.core.progress import Progress
 
-        progress(
-            Progress(
-                done=summary.n_completed + summary.n_skipped,
-                failed=summary.n_failed,
-                total=known_total,
-                elapsed=time.time() - wall_start,
-            )
-        )
-
-    done_q: "queue.SimpleQueue[tuple[Job, int, JobResult]]" = queue.SimpleQueue()
+    # Everything below is guarded by ``run_lock``: the slot pool, retry
+    # queue, input stream, joblog, summary, halt state and these flags.
+    # A slot thread holds it for complete + admit; the caller's thread for
+    # fill and for deciding how long to wait.
+    run_lock = threading.Lock()
+    events: "queue.SimpleQueue" = queue.SimpleQueue()
     retry_q = _RetryQueue()
-    active = 0
-    halted_soon = False
-    #: Monotonic deadline for draining in-flight work after ``--halt now``;
-    #: None while no kill is pending.
-    halt_deadline: Optional[float] = None
     #: Jobs currently running, by seq — the set we must account for (or
     #: abandon with synthetic KILLED results) before ``backend.close()``.
     in_flight: dict[int, Job] = {}
     seq_counter = itertools.count(1)
+    active = 0
+    #: The input stream has no more groups.
+    exhausted = False
+    #: Admit nothing more: a halt fired, or the run is failing or ending.
+    stopping = False
+    #: Monotonic deadline for in-flight work after ``--halt now``; None
+    #: while no kill is pending.
+    halt_deadline: Optional[float] = None
+    #: Monotonic time when a start refused by --delay/--load/--memfree is
+    #: worth trying again; None when nothing was refused.
+    gate_at: Optional[float] = None
+    throttle_poll = _THROTTLE_POLL_INITIAL
+    #: A ``_WAKE`` is queued, or the caller's thread is looking already.
+    wake_posted = False
+    #: The first exception raised on a slot thread; the caller re-raises it.
+    error: Optional[BaseException] = None
     wall_start = time.time()
     last_dispatch = -float("inf")
+    dry_run = options.dry_run
+    pipe_mode = options.pipe_mode
+    stream_lines = sequencer is not None and options.linebuffer
+    retries = options.retries
+    # A final result travels to the caller's thread only when something
+    # there consumes it.
+    reports = has_sink or progress is not None or results_writer is not None
+    #: Results queued for the caller (written under ``run_lock``) and
+    #: handled by it (written by the caller only); admission pauses, and
+    #: sets ``stalled``, while the difference reaches ``backlog_cap``.
+    posted = reported = 0
+    backlog_cap = _BACKLOG_PER_SLOT * jobs_cap
+    stalled = False
+    if progress is not None:
+        from repro.core.progress import Progress
 
     # --retry-delay: exponential backoff with jitter between attempts.
     # The jitter stream is seeded so chaos runs stay reproducible.
@@ -377,7 +419,7 @@ def run_scheduler(
     # constant template (possible in --pipe mode, where the command line
     # gets no substitution) renders exactly once.
     static_command: Optional[str] = None
-    if template is not None and options.pipe_mode and template.is_static:
+    if template is not None and pipe_mode and template.is_static:
         static_command = template.render(("",), seq=0, slot=0).rstrip()
     callable_repr: Optional[str] = None
     if template is None:
@@ -385,7 +427,7 @@ def run_scheduler(
 
     def describe(args: ArgGroup, seq: int, slot: int) -> str:
         if template is not None:
-            if options.pipe_mode:
+            if pipe_mode:
                 # --pipe: the block goes to stdin, not the command line.
                 if static_command is not None:
                     return static_command
@@ -412,7 +454,7 @@ def run_scheduler(
         return None
 
     def run_one(job: Job, slot: int) -> JobResult:
-        """Worker body: one job through the backend, exceptions contained."""
+        """One job through the backend, exceptions contained."""
         if tracer is not None:
             tracer.job_running(job.seq, job.attempt, slot)
         try:
@@ -439,7 +481,207 @@ def run_scheduler(
             )
         return result
 
-    pool = _WorkerPool(jobs_cap, run_one, done_q)
+    # --load / --memfree probes.
+    load_probe = options.load_probe or (
+        (lambda: os.getloadavg()[0]) if hasattr(os, "getloadavg") else (lambda: 0.0)
+    )
+    default_mem_probe: Optional[_MemAvailableProbe] = None
+    if options.memfree_probe is not None:
+        mem_probe = options.memfree_probe
+    else:
+        default_mem_probe = _MemAvailableProbe()
+        mem_probe = default_mem_probe
+    throttled = options.max_load is not None or options.memfree is not None
+    gated = options.delay > 0 or throttled
+
+    def gate_wait() -> float:
+        """Seconds until --delay/--load/--memfree let a job start (0 = now).
+
+        A refused throttle probe doubles the next poll interval, up to
+        ``_THROTTLE_POLL_MAX``; a passing one resets it.
+        """
+        nonlocal throttle_poll
+        if options.delay > 0:
+            wait = last_dispatch + options.delay - time.monotonic()
+            if wait > 0:
+                return wait
+        if throttled:
+            if (options.max_load is not None and load_probe() > options.max_load) or (
+                options.memfree is not None and mem_probe() < options.memfree
+            ):
+                wait, throttle_poll = throttle_poll, min(throttle_poll * 2.0, _THROTTLE_POLL_MAX)
+                return wait
+            throttle_poll = _THROTTLE_POLL_INITIAL
+        return 0.0
+
+    def wake() -> None:
+        """Have the caller's thread look at the run again (one pending wake)."""
+        nonlocal wake_posted
+        if not wake_posted:
+            wake_posted = True
+            events.put(_WAKE)
+
+    def pull_fresh() -> Optional[Job]:
+        """Pull the next fresh job off the input stream (None = exhausted)."""
+        nonlocal exhausted
+        for args in groups:
+            seq = next(seq_counter)
+            if seq in skip:
+                summary.n_skipped += 1
+                if sequencer is not None:
+                    events.put((_SKIP, seq, 0, 0))
+                continue
+            if tracer is not None:
+                tracer.job_submitted(seq)
+            return Job(seq=seq, args=args)
+        exhausted = True
+        return None
+
+    def admit() -> Optional[tuple[Job, int]]:
+        """Stamp the next job onto the lowest free slot; None if none can start.
+
+        A ready retry outranks fresh input.  Runs under ``run_lock`` on
+        whichever thread holds it.  When a start has to wait for time to
+        pass (a gate, a retry backoff) or the run may be over, it wakes
+        the caller's thread, which does the waiting.
+        """
+        nonlocal active, gate_at, last_dispatch, stalled
+        if stopping:
+            if active == 0:
+                wake()
+            return None
+        gate_at = None
+        if reports and posted - reported >= backlog_cap:
+            stalled = True  # the caller refills once it has caught up
+            return None
+        slot = slots.acquire()
+        if slot is None:
+            return None  # every slot busy: a completion will admit
+        try:
+            if gated:
+                wait = gate_wait()
+                if wait > 0:
+                    slots.release(slot)
+                    gate_at = time.monotonic() + wait
+                    wake()
+                    return None
+            job = retry_q.pop_ready(time.time()) if retry_q else None
+            if job is None and not exhausted:
+                job = pull_fresh()
+            if job is None:
+                slots.release(slot)
+                if retry_q or active == 0:
+                    wake()
+                return None
+            job.attempt += 1
+            if tracer is not None:
+                tracer.attempt_started(job.seq, job.attempt, slot)
+            if pipe_mode and job.stdin_data is None:
+                job.stdin_data = job.args[0]
+                job.args = (f"<block {job.seq}>",)
+            job.command = describe(job.args, job.seq, slot)
+            if stream_lines:
+                job.stream = sequencer.stream_for(job, slot)
+        except BaseException:
+            slots.release(slot)
+            raise
+        job.state = JobState.RUNNING
+        if options.delay > 0:
+            last_dispatch = time.monotonic()
+        summary.n_dispatched += 1
+        active += 1
+        in_flight[job.seq] = job
+        if tracer is not None:
+            tracer.job_dispatched(job.seq, job.attempt, slot)
+        return job, slot
+
+    def record(job: Job, result: JobResult) -> None:
+        """Route one attempt's result to the joblog, retry queue and summary.
+
+        Runs under ``run_lock``.  With an output sink (``has_sink``) the
+        summary's retention window records a copy without ``stdout``: the
+        sink, fed by ``sequencer`` (whose ``--keep-order`` hold keeps the
+        full result until it emits), is the text's one owner, so a long
+        run does not hold every job's output after printing it — GNU
+        Parallel likewise deletes its output buffer files once printed.
+        ``stderr`` and ``value`` stay on the record for failure reports
+        and ``Parallel.map``.  The full result goes to the caller's
+        thread for ``--results``, the sink and progress.
+        """
+        nonlocal posted
+        if joblog is not None and not dry_run:
+            joblog.write(result)
+        state = result.state
+        if (
+            (state is JobState.FAILED or state is JobState.TIMED_OUT)
+            and not dry_run
+            and should_retry(job, result.exit_code, retries)
+            and not halt.triggered
+        ):
+            job.state = JobState.PENDING
+            delay = retry_delay_for(job.attempt)
+            job.eligible_at = time.time() + delay if delay > 0 else 0.0
+            if tracer is not None:
+                tracer.attempt_finished(
+                    job, result, retried=True, eligible_at=job.eligible_at
+                )
+            retry_q.push(job)
+            if delay > 0:
+                wake()  # the caller's thread times the backoff
+            return
+        if tracer is not None:
+            tracer.attempt_finished(job, result)
+        job.state = state
+        summary.record(_without_stdout(result) if has_sink and result.stdout else result)
+        halt.record(state)
+        if reports:
+            posted += 1
+            events.put(
+                (_PUSH, result, summary.n_completed + summary.n_skipped, summary.n_failed)
+            )
+
+    def complete(job: Job, slot: int, result: JobResult) -> None:
+        """Account for one finished attempt, then free its slot.
+
+        Runs under ``run_lock``.  The slot goes back only after the
+        joblog write, the retry re-queue and the halt check, so a freed
+        slot never outruns its own completion (retry fairness).
+        """
+        nonlocal active, stopping, halt_deadline
+        if in_flight.pop(job.seq, None) is None:
+            return  # abandoned at shutdown and accounted for there
+        try:
+            record(job, result)
+            if halt.triggered and not stopping:
+                stopping = True
+                if halt.kill_running:
+                    backend.cancel_all()
+                    halt_deadline = time.monotonic() + options.halt_grace
+                wake()
+        finally:
+            slots.release(slot)
+            active -= 1
+
+    def run_slot(job: Job, slot: int) -> None:
+        """A slot thread's turn: run jobs for as long as one is admitted."""
+        nonlocal error, stopping
+        while True:
+            result = run_one(job, slot)
+            with run_lock:
+                try:
+                    complete(job, slot, result)
+                    nxt = admit()
+                except BaseException as exc:  # re-raised on the caller's thread
+                    if error is None:
+                        error = exc
+                    stopping = True
+                    wake()
+                    return
+            if nxt is None:
+                return
+            job, slot = nxt
+
+    pool = _WorkerPool(jobs_cap, run_slot)
     if tracer is not None:
         tracer.bind_gauges(
             queue_depth=lambda: pool.queue_depth,
@@ -454,266 +696,198 @@ def run_scheduler(
             rpc_batch=getattr(backend, "rpc_batch", 1),
         )
 
-    # --load / --memfree probes.
-    load_probe = options.load_probe or (
-        (lambda: os.getloadavg()[0]) if hasattr(os, "getloadavg") else (lambda: 0.0)
-    )
-    default_mem_probe: Optional[_MemAvailableProbe] = None
-    if options.memfree_probe is not None:
-        mem_probe = options.memfree_probe
-    else:
-        default_mem_probe = _MemAvailableProbe()
-        mem_probe = default_mem_probe
-    throttled = options.max_load is not None or options.memfree is not None
+    def fill() -> bool:
+        """Admit and hand out jobs until ``admit`` has none (caller, locked).
 
-    def pull_fresh() -> Optional[Job]:
-        """Pull the next fresh job off the input stream (None = exhausted)."""
-        for args in groups:
-            seq = next(seq_counter)
-            if seq in skip:
-                summary.n_skipped += 1
-                sequencer.skip(seq)
-                continue
-            if tracer is not None:
-                tracer.job_submitted(seq)
-            return Job(seq=seq, args=args)
-        return None
-
-    def next_job() -> Optional[Job]:
-        """Next dispatchable job: eligible retries first, then fresh input.
-
-        None means no fresh input remains — retries still backing off may
-        be waiting in ``retry_q``.
+        A ``--dry-run`` job is completed here instead; one per call, so
+        its line is emitted before the next is admitted.  Returns True
+        when it handled one.
         """
-        if retry_q:
-            job = retry_q.pop_ready(time.time())
-            if job is not None:
-                return job
-        return pull_fresh()
-
-    def reap(timeout: Optional[float] = None, notify: bool = True) -> bool:
-        """Consume one completion from the workers; False on timeout.
-
-        The slot is released only *after* the completion — retry re-queue
-        included — has been handled, so a freed slot can never outrun its
-        own completion (the structural retry-fairness guarantee).
-        ``notify=False`` lets a batch drain coalesce progress callbacks
-        into one per wakeup instead of one per completion.
-        """
-        nonlocal active, halted_soon, halt_deadline
-        try:
-            if timeout is not None and timeout <= 0:
-                job, slot, result = done_q.get_nowait()
-            else:
-                job, slot, result = done_q.get(timeout=timeout)
-        except queue.Empty:
-            return False
-        in_flight.pop(job.seq, None)
-        try:
-            _handle_completion(
-                job, result, options, halt, retry_q, summary,
-                sequencer, joblog, results_writer, retry_delay_for=retry_delay_for,
-                tracer=tracer, has_sink=has_sink,
-            )
-        finally:
-            slots.release(slot)
-            active -= 1
-        if notify:
-            notify_progress()
-        if halt.triggered and not halted_soon:
-            halted_soon = True
-            if halt.kill_running:
-                backend.cancel_all()
-                halt_deadline = time.monotonic() + options.halt_grace
-        return True
-
-    def halt_wait() -> Optional[float]:
-        """How long reap() may block: bounded once a kill is pending."""
-        if halt_deadline is None:
-            return None
-        return max(0.0, halt_deadline - time.monotonic())
-
-    def drain() -> None:
-        """Consume completions already posted, without blocking.
-
-        Keeps completion handling (and thus retry re-queues and halt
-        detection) current while fresh input streams through free slots.
-        The whole batch is handled per wakeup with a single progress
-        callback at the end — under batched shard RPC, completions arrive
-        frame-at-a-time, and per-item notification would pay the callback
-        cost ``jobs_per_frame`` times per wakeup for no information gain.
-        """
-        handled = 0
-        while not done_q.empty():
-            if not reap(timeout=0, notify=False):
-                break
-            handled += 1
-        if handled:
-            notify_progress()
-
-    def wait_for_throttle() -> None:
-        """Stall dispatch while ``--load``/``--memfree`` say so.
-
-        Polls with exponential backoff (capped at
-        ``_THROTTLE_POLL_MAX``) instead of a fixed busy-wait; each
-        wait blocks on the completion queue, so a finishing job — or the
-        halt it triggers — wakes the loop immediately instead of sleeping
-        out the full interval.
-        """
-        delay = _THROTTLE_POLL_INITIAL
-        while not halted_soon and not halt.triggered:
-            if options.max_load is not None and load_probe() > options.max_load:
-                pass
-            elif options.memfree is not None and mem_probe() < options.memfree:
-                pass
-            else:
-                return
-            reap(timeout=delay)
-            delay = min(delay * 2.0, _THROTTLE_POLL_MAX)
-
-    pending: Optional[Job] = next_job()
-
-    while pending is not None or active > 0 or retry_q:
-        drain()
-        can_dispatch = (
-            pending is not None
-            and not halted_soon
-            and not halt.triggered
-        )
-        if can_dispatch:
-            slot = slots.acquire(blocking=False)
-            if slot is None:
-                # All slots busy: wait for a completion, then loop.
-                reap()
-                continue
-            # Pace dispatches per --delay and throttle on --load/--memfree.
-            if options.delay > 0:
-                gap = time.time() - last_dispatch
-                if gap < options.delay:
-                    time.sleep(options.delay - gap)
-            if throttled:
-                wait_for_throttle()
-                if halted_soon or halt.triggered:
-                    slots.release(slot)  # halt fired while stalled: no new work
-                    continue
-            # Retries outrank fresh input at every dispatch point (a failed
-            # job must not starve behind a stream of new work).
-            ready_retry = retry_q.pop_ready(time.time()) if retry_q else None
-            if ready_retry is not None:
-                job = ready_retry
-            else:
-                job, pending = pending, None
-            job.attempt += 1
-            if tracer is not None:
-                tracer.attempt_started(job.seq, job.attempt, slot)
-            if options.pipe_mode and job.stdin_data is None:
-                job.stdin_data = job.args[0]
-                job.args = (f"<block {job.seq}>",)
-            job.command = describe(job.args, job.seq, slot)
-            if options.linebuffer:
-                job.stream = sequencer.stream_for(job, slot)
-            job.state = JobState.RUNNING
-            last_dispatch = time.time()
-            summary.n_dispatched += 1
-            if options.dry_run:
-                slots.release(slot)
+        while True:
+            nxt = admit()
+            if nxt is None:
+                return False
+            job, slot = nxt
+            if dry_run:
                 now = time.time()
-                result = JobResult(
+                complete(job, slot, JobResult(
                     seq=job.seq, args=job.args, command=job.command,
                     exit_code=0, start_time=now, end_time=now, slot=slot,
                     host=backend.host, attempt=job.attempt,
                     state=JobState.SUCCEEDED, stdout=job.command + "\n",
-                )
-                _handle_completion(
-                    job, result, options, halt, retry_q, summary,
-                    sequencer, joblog, results_writer, dry_run=True,
-                    tracer=tracer, has_sink=has_sink,
-                )
-                notify_progress()
-            else:
-                active += 1
-                in_flight[job.seq] = job
-                # Dispatch is recorded before the queue put: a worker may
-                # pick the job up (and stamp RUNNING) instantly.
-                if tracer is not None:
-                    tracer.job_dispatched(job.seq, job.attempt, slot)
-                pool.submit(job, slot, active)
-            if pending is None:
-                pending = next_job()
-            continue
+                ))
+                return True
+            pool.submit(job, slot, active)
 
-        if active > 0:
-            if not reap(timeout=halt_wait()):
-                break  # halt grace expired: abandon stragglers
-            if pending is None and not halted_soon:
-                pending = retry_q.pop_ready(time.time())
-            continue
+    def next_wait() -> Optional[float]:
+        """Seconds until a timed wait is due (caller, locked); None = none."""
+        waits = []
+        if halt_deadline is not None:
+            waits.append(halt_deadline - time.monotonic())
+        if not stopping:
+            if gate_at is not None:
+                waits.append(gate_at - time.monotonic())
+            if retry_q:
+                # A retry that fell due since ``fill`` looked is admitted
+                # now if a slot is free and no gate refused it (``gate_at``
+                # times that start); with every slot busy, the next
+                # completion admits it.
+                backoff = retry_q.earliest_at() - time.time()
+                if backoff > 0 or (active < jobs_cap and gate_at is None):
+                    waits.append(backoff)
+        return max(0.0, min(waits)) if waits else None
 
-        if halted_soon or halt.triggered:
-            break  # input/retries remain but we must not start them
+    def report(item: tuple) -> None:
+        """Hand one event's result to --results, the sink and progress."""
+        nonlocal reported
+        op, payload, done, failed = item
+        if op == _SKIP:
+            sequencer.skip(payload)
+            return
+        reported += 1
+        if results_writer is not None and not dry_run:
+            results_writer.write(payload)
+        if sequencer is not None:
+            sequencer.push(payload)
+        if progress is not None:
+            progress(Progress(
+                done=done, failed=failed, total=known_total,
+                elapsed=time.time() - wall_start,
+            ))
 
-        if pending is None and retry_q:
-            # Only backing-off retries remain: sleep out the earliest delay.
-            time.sleep(max(0.0, retry_q.earliest_at() - time.time()))
-            pending = retry_q.pop_ready(time.time())
-            continue
+    def salvage(item: tuple) -> None:
+        """A failing run's event: write --results only, call no user code.
 
-        break
+        The joblog already holds the job, so without its ``--results``
+        files ``--resume`` would skip it for good.  The first error stops
+        the writing: the writer may be what failed.
+        """
+        nonlocal results_writer
+        if item[0] == _PUSH and results_writer is not None and not dry_run:
+            try:
+                results_writer.write(item[1])
+            except Exception:
+                results_writer = None
 
-    summary.halted = halt.triggered
-    summary.halt_reason = halt.reason
+    def take_events(wait: Optional[float], handle: Callable[[tuple], None] = report) -> None:
+        """Handle events until a wake-up, or for ``wait`` seconds (None = no limit)."""
+        deadline = None if wait is None else time.monotonic() + wait
+        get = events.get
+        while True:
+            try:
+                if deadline is None:
+                    item = get()
+                else:
+                    item = get(timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                return
+            if item is _WAKE:
+                return
+            handle(item)
+            if stalled and posted - reported < backlog_cap:
+                return  # caught up: refill the slots admission paused
 
-    # Shutdown: drain completions within the grace window, then account
-    # for anything still wedged with a synthetic KILLED result, and stop
-    # the pool (bounded) so backend.close() cannot race run_job.
-    shutdown_deadline = time.monotonic() + options.halt_grace
-    if halt_deadline is not None:
-        shutdown_deadline = min(shutdown_deadline, halt_deadline)
-    while active > 0:
-        if not reap(timeout=max(0.01, shutdown_deadline - time.monotonic())):
-            break
-    if active > 0:
-        for job in list(in_flight.values()):
-            now = time.time()
-            abandoned = JobResult(
-                seq=job.seq, args=job.args, command=job.command,
-                exit_code=-1, stderr="abandoned in flight at shutdown",
-                start_time=now, end_time=now, slot=0, host=backend.host,
-                attempt=job.attempt, state=JobState.KILLED,
-            )
-            _handle_completion(
-                job, abandoned, options, halt, retry_q, summary,
-                sequencer, joblog, results_writer, tracer=tracer,
-            )
-        in_flight.clear()
-        active = 0
-    # Idle workers only need to drain a _STOP sentinel; grant a small
-    # join floor even when the halt grace window is already spent.
-    pool.shutdown(max(shutdown_deadline, time.monotonic() + 0.5))
+    def serve() -> None:
+        """The caller's thread until no job is running or can start."""
+        nonlocal wake_posted, stalled
+        while True:
+            with run_lock:
+                if error is not None:
+                    raise error
+                wake_posted = True  # looking now: no wake-up needed
+                stalled = False
+                more = fill()
+                if active == 0 and (stopping or (exhausted and not retry_q)):
+                    return
+                if halt_deadline is not None and time.monotonic() >= halt_deadline:
+                    return  # --halt now grace spent: abandon the stragglers
+                wait = 0.0 if more else next_wait()
+                wake_posted = False
+            take_events(wait)
 
-    summary.wall_time = time.time() - wall_start
-    if default_mem_probe is not None:
-        default_mem_probe.close()
-    if joblog is not None:
-        joblog.close()
-    # Data-plane counters (staging cache hits, bytes avoided) land on the
-    # summary so both the run report and the tracer's RUN_END carry them.
-    stats_hook = getattr(backend, "staging_stats", None)
-    if stats_hook is not None:
-        staging_stats = stats_hook()
-        if staging_stats:
-            summary.staging = staging_stats
-    # Control-plane counters (frames sent/received, jobs per frame,
-    # interning, failover re-queues) from sharded backends.
-    rpc_hook = getattr(backend, "control_plane_stats", None)
-    if rpc_hook is not None:
-        rpc_stats = rpc_hook()
-        if rpc_stats:
-            summary.rpc = rpc_stats
-    summary.coordinator_rss = _coordinator_rss()
-    if tracer is not None:
-        tracer.run_finished(summary)
-    backend.close()
+    def settle(handle: Callable[[tuple], None]) -> None:
+        """Wait out in-flight jobs within the grace window, abandon the rest.
+
+        Each job still running at the deadline gets a synthetic KILLED
+        result so the joblog and summary account for it; the slot thread
+        running it (if it ever returns) finds it gone and records nothing.
+        Every event left is then handled by ``handle``.
+        """
+        nonlocal stopping, wake_posted, active
+        deadline = time.monotonic() + options.halt_grace
+        if halt_deadline is not None:
+            deadline = min(deadline, halt_deadline)
+        while True:
+            with run_lock:
+                stopping = True
+                if active == 0:
+                    break
+                wake_posted = False
+            left = deadline - time.monotonic()
+            take_events(max(0.01, left), handle)
+            if left <= 0:
+                break
+        with run_lock:
+            for job in in_flight.values():
+                now = time.time()
+                record(job, JobResult(
+                    seq=job.seq, args=job.args, command=job.command,
+                    exit_code=-1, stderr="abandoned in flight at shutdown",
+                    start_time=now, end_time=now, slot=0, host=backend.host,
+                    attempt=job.attempt, state=JobState.KILLED,
+                ))
+            in_flight.clear()
+            active = 0
+        while not events.empty():
+            take_events(0.0, handle)
+
+    settled = False
+    try:
+        serve()
+        settle(report)
+        settled = True
+    finally:
+        if not settled:
+            # Failing (a sink, the joblog or the input raised, or an
+            # interrupt): kill what runs, account for it, and call no
+            # more user code: the sink may be what raised.
+            with run_lock:
+                stopping = True
+                running = active
+            if running:
+                backend.cancel_all()
+            settle(salvage)
+        # Idle threads only need to take a _STOP sentinel; a thread still
+        # wedged in the backend gets a short join and is left behind.
+        pool.shutdown(time.monotonic() + 0.5)
+        summary.halted = halt.triggered
+        summary.halt_reason = halt.reason
+        summary.wall_time = time.time() - wall_start
+        if default_mem_probe is not None:
+            default_mem_probe.close()
+        try:
+            if joblog is not None:
+                joblog.close()
+            # Data-plane counters (staging cache hits, bytes avoided) land
+            # on the summary so both the run report and the tracer's
+            # RUN_END carry them.
+            stats_hook = getattr(backend, "staging_stats", None)
+            if stats_hook is not None:
+                staging_stats = stats_hook()
+                if staging_stats:
+                    summary.staging = staging_stats
+            # Control-plane counters (frames sent/received, jobs per
+            # frame, interning, failover re-queues) from sharded backends.
+            rpc_hook = getattr(backend, "control_plane_stats", None)
+            if rpc_hook is not None:
+                rpc_stats = rpc_hook()
+                if rpc_stats:
+                    summary.rpc = rpc_stats
+            summary.coordinator_rss = _coordinator_rss()
+            if tracer is not None:
+                tracer.run_finished(summary)
+        finally:
+            backend.close()
     return summary
 
 
@@ -727,60 +901,3 @@ def _without_stdout(r: JobResult) -> JobResult:
         r.seq, r.args, r.command, r.exit_code, "", r.stderr, r.start_time,
         r.end_time, r.slot, r.host, r.attempt, r.state, r.value,
     )
-
-
-def _handle_completion(
-    job: Job,
-    result: Optional[JobResult],
-    options: Options,
-    halt: HaltTracker,
-    retry_q: _RetryQueue,
-    summary: RunSummary,
-    sequencer: OutputSequencer,
-    joblog: Optional[JoblogWriter],
-    results_writer: Optional[ResultsWriter],
-    dry_run: bool = False,
-    retry_delay_for: Optional[Callable[[int], float]] = None,
-    tracer: Optional[RunTracer] = None,
-    has_sink: bool = False,
-) -> None:
-    """Route one attempt's result to the joblog, retry queue and sinks.
-
-    Every consumer but the summary gets ``result`` whole.  With an
-    output sink (``has_sink``) the summary's retention window records a
-    copy without ``stdout``: the sink, fed by ``sequencer`` (whose
-    ``--keep-order`` hold keeps the full result until it emits), is the
-    text's one owner, so a long run does not hold every job's output
-    after printing it — GNU Parallel likewise deletes its output buffer
-    files once printed.  ``stderr`` and ``value`` stay on the record for
-    failure reports and ``Parallel.map``.
-    """
-    assert result is not None
-    if joblog is not None and not dry_run:
-        joblog.write(result)
-    if (
-        not dry_run
-        and result.state in (JobState.FAILED, JobState.TIMED_OUT)
-        and should_retry(job, result.exit_code, options.retries)
-        and not halt.triggered
-    ):
-        job.state = JobState.PENDING
-        delay = retry_delay_for(job.attempt) if retry_delay_for is not None else 0.0
-        job.eligible_at = time.time() + delay if delay > 0 else 0.0
-        if tracer is not None:
-            tracer.attempt_finished(
-                job, result, retried=True, eligible_at=job.eligible_at
-            )
-        retry_q.push(job)
-        return
-    if tracer is not None:
-        tracer.attempt_finished(job, result)
-    job.state = result.state
-    if has_sink and result.stdout:
-        summary.record(_without_stdout(result))
-    else:
-        summary.record(result)
-    halt.record(result.state)
-    if results_writer is not None and not dry_run:
-        results_writer.write(result)
-    sequencer.push(result)

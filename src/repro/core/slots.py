@@ -21,11 +21,9 @@ __all__ = ["SlotPool"]
 class SlotPool:
     """Thread-safe pool of slot numbers 1..capacity, granted lowest-first.
 
-    One lock guards the heap and the held set; a blocking ``acquire``
-    waits on a condition over that same lock only when the heap is
-    empty.  The scheduler grants and frees a slot per job, so the
-    common path is one uncontended lock round trip each way, with no
-    ``threading.Semaphore`` (a pure-Python condition) in front of it.
+    One lock guards the heap and the held set.  A grant never waits: the
+    scheduler asks for a slot only when it has a job to start, and a
+    full pool means a running job's completion will ask again.
     """
 
     def __init__(self, capacity: int):
@@ -39,24 +37,13 @@ class SlotPool:
         #: release, a per-job cost).
         self._held: set[int] = set()
         self._lock = threading.Lock()
-        self._freed = threading.Condition(self._lock)
-        #: Threads parked in ``acquire``; ``release`` notifies only if any.
-        self._waiters = 0
 
-    def acquire(self, blocking: bool = True, timeout: float | None = None) -> int | None:
-        """Take the lowest free slot number; None on timeout/non-blocking miss."""
+    def acquire(self) -> int | None:
+        """Take the lowest free slot number; None when every slot is held."""
         with self._lock:
-            free = self._free
-            if not free:
-                if not blocking:
-                    return None
-                self._waiters += 1
-                try:
-                    if not self._freed.wait_for(lambda: free, timeout):
-                        return None
-                finally:
-                    self._waiters -= 1
-            slot = heapq.heappop(free)
+            if not self._free:
+                return None
+            slot = heapq.heappop(self._free)
             self._held.add(slot)
             return slot
 
@@ -69,8 +56,6 @@ class SlotPool:
                 raise OptionsError(f"slot {slot} released twice")
             self._held.remove(slot)
             heapq.heappush(self._free, slot)
-            if self._waiters:
-                self._freed.notify()
 
     @property
     def in_use(self) -> int:

@@ -720,6 +720,38 @@ def test_environment_vector_is_built_once_per_env_and_cwd(monkeypatch, tmp_path)
     assert len(built) == 3
 
 
+def test_concurrent_first_launches_share_one_probe(monkeypatch):
+    # Slot threads starting a run's first jobs together wait for one
+    # environment probe instead of each running their own.
+    env = dict(os.environ, PWD="/")
+    real = spawn._ExecEnv.__init__
+
+    def init(self, *args):
+        time.sleep(0.05)  # every thread misses the cache meanwhile
+        real(self, *args)
+
+    monkeypatch.setattr(spawn._ExecEnv, "__init__", init)
+    probes = _count_probes(monkeypatch)
+    spawn._exec_envs.clear()
+    barrier = threading.Barrier(4)
+    done = []
+
+    def launch():
+        barrier.wait()
+        done.append(run_command("cat /dev/null", table=ProcessTable(), env=env))
+
+    threads = [threading.Thread(target=launch) for _ in range(4)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        spawn._exec_envs.clear()
+    assert [(d.returncode, d.direct) for d in done] == [(0, True)] * 4
+    assert probes == [None]
+
+
 @pytest.mark.parametrize("leg", ["popen", "cwd", "stdin", "stream", "posix"])
 def test_failed_probe_keeps_the_shell(posix, leg, monkeypatch):
     # A shell that cannot report its environment (no /proc, a failed

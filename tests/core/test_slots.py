@@ -32,7 +32,7 @@ def test_freed_slot_reused_lowest_first():
 def test_nonblocking_acquire_returns_none_when_exhausted():
     pool = SlotPool(1)
     pool.acquire()
-    assert pool.acquire(blocking=False) is None
+    assert pool.acquire() is None
 
 
 def test_release_out_of_range():
@@ -61,6 +61,17 @@ def test_in_use_counter():
     assert pool.in_use == 1
 
 
+def _grant_under(lock, pool):
+    """A non-blocking grant taken under ``lock``, retried until one is free
+    (the scheduler's shape: grants happen only under its run lock)."""
+    while True:
+        with lock:
+            slot = pool.acquire()
+        if slot is not None:
+            return slot
+        time.sleep(0)
+
+
 def test_slot_numbers_never_exceed_capacity_under_contention():
     """With -j8, {%} must always be in 1..8 (GPU isolation relies on it)."""
     pool = SlotPool(8)
@@ -69,94 +80,75 @@ def test_slot_numbers_never_exceed_capacity_under_contention():
 
     def worker():
         for _ in range(50):
-            s = pool.acquire()
+            s = _grant_under(lock, pool)
             with lock:
                 seen.append(s)
-            pool.release(s)
+                pool.release(s)
 
-    threads = [threading.Thread(target=worker) for _ in range(16)]
+    threads = [threading.Thread(target=worker, daemon=True) for _ in range(16)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert seen and all(1 <= s <= 8 for s in seen)
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 16 * 50 and all(1 <= s <= 8 for s in seen)
+    assert pool.in_use == 0
 
 
-def _acquire_in_thread(pool, got):
-    thread = threading.Thread(target=lambda: got.append(pool.acquire()), daemon=True)
-    thread.start()
-    return thread
-
-
-def test_blocking_acquire_parks_until_release():
+def test_full_pool_grants_freed_slot_after_release():
     pool = SlotPool(2)
     pool.acquire()
     held = pool.acquire()
-    got = []
-    thread = _acquire_in_thread(pool, got)
-    thread.join(timeout=0.05)
-    assert thread.is_alive() and got == []  # parked on the full pool
-    released_at = time.monotonic()
+    assert pool.acquire() is None
     pool.release(held)
-    thread.join(timeout=1.0)
-    assert not thread.is_alive()
-    assert time.monotonic() - released_at < 1.0
-    assert got == [held]
+    assert pool.acquire() == held
     assert pool.in_use == 2
 
 
-def test_acquire_timeout_on_full_pool_returns_none():
+def test_full_pool_acquire_returns_none_at_once():
     pool = SlotPool(1)
     pool.acquire()
     started = time.monotonic()
-    assert pool.acquire(timeout=0.05) is None
-    assert time.monotonic() - started >= 0.05
+    assert pool.acquire() is None
+    assert time.monotonic() - started < 0.5
     assert pool.in_use == 1
 
 
 def test_nonblocking_miss_takes_nothing():
     pool = SlotPool(2)
     a, b = pool.acquire(), pool.acquire()
-    assert pool.acquire(blocking=False) is None
+    assert pool.acquire() is None
     assert pool.in_use == 2
     pool.release(b)
-    assert pool.acquire(blocking=False) == b
+    assert pool.acquire() == b
     pool.release(a)
-    assert pool.acquire(blocking=False) == a
-    assert pool.acquire(blocking=False) is None
+    assert pool.acquire() == a
+    assert pool.acquire() is None
 
 
-def test_two_waiters_two_releases_wake_both():
+def test_two_releases_grant_both_slots():
     pool = SlotPool(2)
     a, b = pool.acquire(), pool.acquire()
-    got = []
-    threads = [_acquire_in_thread(pool, got) for _ in range(2)]
-    for thread in threads:
-        thread.join(timeout=0.05)
-    assert got == []
     pool.release(a)
     pool.release(b)
-    for thread in threads:
-        thread.join(timeout=1.0)
-        assert not thread.is_alive()
-    assert sorted(got) == [1, 2]
+    assert sorted([pool.acquire(), pool.acquire()]) == [1, 2]
+    assert pool.acquire() is None
     assert pool.in_use == 2
 
 
 def test_no_slot_granted_twice_under_forced_switching():
-    """Blocking waiters on a small pool: a slot is never held by two
-    threads at once, and every thread finishes (no lost wakeup)."""
+    """Non-blocking grants under a lock on a small pool, with releases
+    outside it: a slot is never held by two threads at once, and every
+    thread finishes."""
     pool = SlotPool(3)
+    grant_lock = threading.Lock()
     holders = {}
     clashes = []
     lock = threading.Lock()
 
     def worker(name):
         for _ in range(200):
-            s = pool.acquire(timeout=5.0)
-            if s is None:
-                clashes.append("timed out")
-                return
+            s = _grant_under(grant_lock, pool)
             with lock:
                 if s in holders:
                     clashes.append(s)

@@ -12,9 +12,10 @@ import time
 import pytest
 
 from repro import Parallel
+from repro.core.backends.callable_backend import CallableBackend
 from repro.core.options import Options
 from repro.core.scheduler import _RetryQueue, _WorkerPool
-from repro.core.job import Job
+from repro.core.job import Job, JobState
 
 
 def _pool_threads():
@@ -63,6 +64,79 @@ def test_no_per_job_thread_creation(monkeypatch):
     summary = Parallel(lambda x: None, jobs=4).run(range(100))
     assert summary.n_succeeded == 100
     assert len(spawned) <= 4
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("repro-timeout-helper")]
+
+
+def test_timed_out_helper_is_not_reused_and_next_job_still_times_out():
+    """A callable timeout runs on its slot's helper thread; the helper an
+    overrun abandoned stays with its callable, and the slot's next jobs
+    get one new helper that they share."""
+    release = threading.Event()
+    ran_on = []
+
+    def work(x):
+        ran_on.append(threading.get_ident())
+        if x == "hang":
+            release.wait(10.0)
+        return x
+
+    others = set(_helper_threads())  # abandoned by earlier runs, still draining
+    backend = CallableBackend(work)
+    options = Options()
+    try:
+        first = backend.run_job(Job(seq=1, args=("hang",)), 1, options, timeout=0.1)
+        assert first.state is JobState.TIMED_OUT
+        assert first.stderr == "timeout after 0.1s"
+        ok = [backend.run_job(Job(seq=s, args=("ok",)), 1, options, timeout=5.0)
+              for s in (2, 3)]
+        assert [r.state for r in ok] == [JobState.SUCCEEDED] * 2
+        assert ran_on[1] == ran_on[2] != ran_on[0]
+        again = backend.run_job(Job(seq=4, args=("hang",)), 1, options, timeout=0.1)
+        assert again.state is JobState.TIMED_OUT
+        assert again.stderr == "timeout after 0.1s" and again.stdout == ""
+        assert ran_on[3] == ran_on[1]
+    finally:
+        release.set()
+        backend.close()
+    ours = set(_helper_threads()) - others
+    for thread in ours:
+        thread.join(timeout=5.0)
+    assert not any(thread.is_alive() for thread in ours)
+
+
+def test_callable_timeout_reuses_one_helper_per_slot(monkeypatch):
+    """200 jobs with ``timeout=``: at most one helper per slot, plus one
+    new helper after each overrun — not a thread per job."""
+    created = []
+    real_thread = threading.Thread
+
+    class CountingThread(real_thread):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs.get("name") or "")
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    release = threading.Event()
+    overrun = {"40", "120"}
+
+    def work(x):
+        if x in overrun:
+            release.wait(10.0)
+        return x
+
+    jobs = 4
+    try:
+        summary = Parallel(work, jobs=jobs, timeout=0.2).run(range(200))
+    finally:
+        release.set()
+    assert summary.n_succeeded == 200 - len(overrun)
+    assert sorted(r.seq for r in summary.results if r.state is JobState.TIMED_OUT) == [41, 121]
+    helpers = [n for n in created if n.startswith("repro-timeout-helper")]
+    assert len(helpers) <= jobs + len(overrun)
+    assert len(created) <= 2 * jobs + len(overrun)
 
 
 def test_lazy_pool_grows_only_with_concurrency():
@@ -154,10 +228,7 @@ def test_retry_queue_fifo_within_same_eligibility():
 
 # ------------------------------------------------------------ _WorkerPool
 def test_worker_pool_shutdown_joins_idle_workers():
-    import queue
-
-    done = queue.SimpleQueue()
-    pool = _WorkerPool(3, lambda job, slot: None, done)
+    pool = _WorkerPool(3, lambda job, slot: None)
     for _ in range(3):
         pool._spawn()
     assert pool.size == 3
