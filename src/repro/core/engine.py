@@ -136,9 +136,10 @@ class Parallel:
         options = dataclasses.replace(self.options, pipe_mode=True)
         template = CommandTemplate(self._command, implicit_append=False)  # type: ignore[arg-type]
         backend = self._make_backend(template=template)
+        emit, emit_silent = self._make_emit()
         return run_scheduler(
             template, blocks, self._scheduler_options(options, backend),
-            backend, self._make_emit(), progress=self._progress,
+            backend, emit, progress=self._progress, emit_silent=emit_silent,
         )
 
     def map(self, inputs: Iterable[object]) -> list[object]:
@@ -168,11 +169,11 @@ class Parallel:
         self, source: Iterable[object], options: Optional[Options] = None
     ) -> RunSummary:
         backend = self._make_backend()
-        emit = self._make_emit()
+        emit, emit_silent = self._make_emit()
         options = options if options is not None else self.options
         return run_scheduler(
             self.template, source, self._scheduler_options(options, backend),
-            backend, emit, progress=self._progress,
+            backend, emit, progress=self._progress, emit_silent=emit_silent,
         )
 
     # -- plumbing ------------------------------------------------------------
@@ -209,11 +210,17 @@ class Parallel:
         return dataclasses.replace(options, jobs=total)
 
     def _make_emit(self):
+        """The run's sink and whether it must see silent results.
+
+        A callback is called once per job, output or not.  The stream
+        writer does nothing for a job with neither stdout nor stderr, so
+        the scheduler keeps such results off the caller's thread.
+        """
         out = self._output
         if out is None:
-            return None
+            return None, True
         if callable(out) and not hasattr(out, "write"):
-            return out
+            return out, True
 
         def emit(result: JobResult, text: str) -> None:
             # Verbatim, as GNU Parallel prints it: `parallel -k printf %s
@@ -223,7 +230,7 @@ class Parallel:
             if result.stderr and out is sys.stdout:
                 sys.stderr.write(result.stderr)
 
-        return emit
+        return emit, False
 
 
 def run_parallel(

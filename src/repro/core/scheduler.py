@@ -29,11 +29,16 @@ backoff, the ``--halt now`` grace, shutdown) and all work that calls
 user code or writes output: the output sink through
 :class:`OutputSequencer`, ``--results`` files and progress callbacks.
 That work reaches it on one event queue, in the order the run lock saw
-it, so no sink runs while the lock is held.  A run with no sink, no
-progress callback and no ``--results`` queues nothing there.  When the
-caller's thread lags ``_BACKLOG_PER_SLOT`` results per slot behind,
-``admit`` starts nothing until it catches up, so a slow sink holds back
-new jobs instead of letting results pile up in memory.
+it, so no sink runs while the lock is held.  A result is queued there
+only when that thread has work for it: every result under
+``--keep-order`` (the sequencer needs every seq), ``--results``, a
+progress callback or a callback sink, and otherwise only a result with
+stdout or stderr for a sink that has nothing to do with the rest (the
+engine's stream writer, ``emit_silent=False``).  A run with no sink, no
+progress callback and no ``--results`` queues no result at all.  When
+the caller's thread lags ``_BACKLOG_PER_SLOT`` queued results per slot
+behind, ``admit`` starts nothing until it catches up, so a slow sink
+holds back new jobs instead of letting results pile up in memory.
 
 Ordering invariant (retry fairness): a job's slot is released only after
 its completion — including any retry re-queue — has been handled, under
@@ -267,12 +272,15 @@ def run_scheduler(
     backend: Backend,
     emit: Optional[Callable[[JobResult, str], None]] = None,
     progress: Optional[Callable[..., None]] = None,
+    emit_silent: bool = True,
 ) -> RunSummary:
     """Run every input through ``backend`` under GNU Parallel semantics.
 
     ``template`` may be None when the backend does not need a rendered
     command (callable backends); the command recorded is then a synthetic
-    ``func(args...)`` string for joblog purposes.
+    ``func(args...)`` string for joblog purposes.  ``emit_silent=False``
+    says ``emit`` does nothing for a result with neither stdout nor
+    stderr; without ``--keep-order`` such a result then never reaches it.
     """
     # Job ingestion stays lazy end to end: a generator source streams
     # through normalize()/group_args() and is pulled one group per
@@ -395,8 +403,13 @@ def run_scheduler(
     stream_lines = sequencer is not None and options.linebuffer
     retries = options.retries
     # A final result travels to the caller's thread only when something
-    # there consumes it.
-    reports = has_sink or progress is not None or results_writer is not None
+    # there has work for it: every result (``report_all``), or, for a
+    # sink that ignores silent results, one with stdout or stderr.
+    ordered = has_sink and options.keep_order
+    report_all = (
+        ordered or (has_sink and emit_silent)
+        or progress is not None or results_writer is not None
+    )
     #: Results queued for the caller (written under ``run_lock``) and
     #: handled by it (written by the caller only); admission pauses, and
     #: sets ``stalled``, while the difference reaches ``backlog_cap``.
@@ -528,7 +541,7 @@ def run_scheduler(
             seq = next(seq_counter)
             if seq in skip:
                 summary.n_skipped += 1
-                if sequencer is not None:
+                if ordered:
                     events.put((_SKIP, seq, 0, 0))
                 continue
             if tracer is not None:
@@ -551,7 +564,7 @@ def run_scheduler(
                 wake()
             return None
         gate_at = None
-        if reports and posted - reported >= backlog_cap:
+        if posted - reported >= backlog_cap:
             stalled = True  # the caller refills once it has caught up
             return None
         slot = slots.acquire()
@@ -606,7 +619,8 @@ def run_scheduler(
         Parallel likewise deletes its output buffer files once printed.
         ``stderr`` and ``value`` stay on the record for failure reports
         and ``Parallel.map``.  The full result goes to the caller's
-        thread for ``--results``, the sink and progress.
+        thread for ``--results``, the sink and progress, when that thread
+        has work for it (``report_all``, or output for the sink).
         """
         nonlocal posted
         if joblog is not None and not dry_run:
@@ -634,7 +648,7 @@ def run_scheduler(
         job.state = state
         summary.record(_without_stdout(result) if has_sink and result.stdout else result)
         halt.record(state)
-        if reports:
+        if report_all or (has_sink and (result.stdout or result.stderr)):
             posted += 1
             events.put(
                 (_PUSH, result, summary.n_completed + summary.n_skipped, summary.n_failed)
