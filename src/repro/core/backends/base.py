@@ -21,6 +21,14 @@ class Backend(abc.ABC):
     #: Reported in joblogs and results as the execution host.
     host: str = "local"
 
+    #: A callable backend's function, named in each job's recorded command.
+    func = None
+    #: Roster-wide concurrency under ``-S`` (``-j`` is per host); None = ``-j``.
+    total_slots: int | None = None
+    #: Dispatcher shards and jobs per RPC frame (a traced run's metadata).
+    dispatchers: int = 1
+    rpc_batch: int = 1
+
     #: Observability hook (a :class:`repro.obs.RunTracer`); None when the
     #: run is not being traced.  Backends emit point events through it
     #: (``self._tracer.instant(...)``) guarded by an ``is not None`` test.
@@ -58,6 +66,17 @@ class Backend(abc.ABC):
         process pools — so nothing constant is recomputed on the per-job
         hot path.  Default: nothing.
         """
+
+    def intern_template(self, template, options: Options) -> None:
+        """Take the run's command template before its first job."""
+
+    def staging_stats(self) -> dict:
+        """Data-plane counters (files staged, cache hits) for the summary."""
+        return {}
+
+    def control_plane_stats(self) -> dict:
+        """Control-plane counters (RPC frames, re-queues) for the summary."""
+        return {}
 
     def cancel_all(self) -> None:
         """Best-effort termination of everything in flight (``--halt now``)."""

@@ -429,8 +429,8 @@ class _ExecEnv:
     ``shell_env`` is ``env`` as ``fork_exec``'s vector, None (inherit the
     process environment) when env is None.  ``direct_env``/``direct_map``
     hold the environment the shell gives a program it execs, as the shell
-    reports it: :data:`_PROBE`, run in the job's directory with ``env``
-    (``os.environ``, as in the posix leg's snapshot, when None).  They
+    reports it: :data:`_PROBE`, run in the job's directory with
+    ``shell_env``, so a direct exec gets what ``sh -c`` would pass on.  They
     are None when the job keeps the shell: it is neither dash nor bash,
     bash would act on an inherited name (:data:`_BASH_OWN`), ``PATH`` is
     unset, or the probe fails, writes to stderr or times out.
@@ -457,7 +457,7 @@ class _ExecEnv:
         try:
             pid, out_r, err_r, _ = _launch(
                 [shell, "-c", _PROBE.format(cat)], self.executables(shell), cwd,
-                _env_list(mapping) if env is None else self.shell_env, False)
+                self.shell_env, False)
         except OSError:
             return  # the shell leg reports the failed chdir
         returncode, out, err, timed_out = _collect(pid, out_r, err_r, _PROBE_TIMEOUT)

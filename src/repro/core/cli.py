@@ -73,9 +73,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None, metavar="FILE",
                    help="write a newline-JSON metrics log (queue depth, slot "
                         "occupancy, throughput EWMA, ...)")
-    p.add_argument("--metrics-interval", type=float, default=1.0,
-                   metavar="SECS", dest="metrics_interval",
-                   help="seconds between metrics samples (default 1.0)")
     p.add_argument("--bar", action="store_true",
                    help="show a progress bar on stderr")
     p.add_argument("-q", "--quote", action="store_true",
@@ -260,7 +257,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             retry_delay=ns.retry_delay,
             trace=ns.trace,
             metrics=ns.metrics,
-            metrics_interval=ns.metrics_interval,
             sshlogin=ns.sshlogin,
             sshloginfile=ns.sshloginfile,
             transfer_files=ns.transfer_files,

@@ -202,7 +202,7 @@ class Parallel:
         dispatch cap becomes the sum of per-host slots, read off the
         backend.
         """
-        total = getattr(backend, "total_slots", None)
+        total = backend.total_slots
         if total is None or total == options.jobs:
             return options
         import dataclasses

@@ -298,8 +298,6 @@ class Options:
     #: Write a newline-JSON metrics log (periodic gauge samples) to this
     #: path (``--metrics``; engine extension).  None = no metrics log.
     metrics: Optional[str] = None
-    #: Seconds between metrics samples (``--metrics-interval``).
-    metrics_interval: float = 1.0
     #: Pre-built :class:`repro.obs.RunTracer` to observe the run with;
     #: injectable for tests and multi-instance drivers.  When None, the
     #: scheduler builds one iff ``trace``/``metrics`` ask for output
@@ -357,10 +355,6 @@ class Options:
             )
         if self.halt_grace < 0:
             raise OptionsError(f"halt_grace must be >= 0, got {self.halt_grace}")
-        if self.metrics_interval <= 0:
-            raise OptionsError(
-                f"--metrics-interval must be > 0, got {self.metrics_interval}"
-            )
         if self.ban_after < 1:
             raise OptionsError(f"ban_after must be >= 1, got {self.ban_after}")
         if self.spawn_path not in ("auto", "posix", "popen"):

@@ -12,33 +12,28 @@ Reproduces GNU Parallel's job-control behaviour:
 * ``--keep-order`` output sequencing, ``--tag`` prefixes,
 * ``--results`` capture trees, ``--dry-run``.
 
-Execution model: at most ``-j`` *persistent* slot threads run jobs, and
-each finishes its own.  When ``backend.run_job`` returns, the slot
-thread takes the run lock, *completes* the job (joblog, retry re-queue,
-summary, halt check, slot release) and *admits* the next one (a ready
-retry or else fresh input, on the lowest free slot, rendered and
-stamped), then runs that job itself: no queue and no other thread sits
-between one job and the next.  A slot thread parks on the dispatch queue
-only when ``admit`` has nothing for it.  GNU Parallel forks one process
-per job, but its *perl-side* bookkeeping per job is tiny — that is the
-cost model this reproduces.
+Execution model: :func:`run_scheduler` builds one :class:`_Run`, whose
+methods are the run's stages.  At most ``-j`` *persistent* slot threads
+(:class:`_WorkerPool`) run jobs, and each finishes its own: when
+``backend.run_job`` returns, the slot thread takes the run lock,
+*completes* the job (joblog, retry re-queue, summary, halt check, slot
+release) and *admits* the next one (a ready retry or else fresh input,
+on the lowest free slot, rendered and stamped), then runs that job
+itself.  It parks on the dispatch queue only when ``admit`` has nothing
+for it.  GNU Parallel forks one process per job, but its *perl-side*
+bookkeeping per job is tiny — that is the cost model this reproduces.
 
-The caller's thread (the one in :func:`run_scheduler`) does the first
-fill, every timed wait (``--delay``, ``--load``/``--memfree``, retry
-backoff, the ``--halt now`` grace, shutdown) and all work that calls
-user code or writes output: the output sink through
-:class:`OutputSequencer`, ``--results`` files and progress callbacks.
-That work reaches it on one event queue, in the order the run lock saw
-it, so no sink runs while the lock is held.  A result is queued there
-only when that thread has work for it: every result under
-``--keep-order`` (the sequencer needs every seq), ``--results``, a
-progress callback or a callback sink, and otherwise only a result with
-stdout or stderr for a sink that has nothing to do with the rest (the
-engine's stream writer, ``emit_silent=False``).  A run with no sink, no
-progress callback and no ``--results`` queues no result at all.  When
-the caller's thread lags ``_BACKLOG_PER_SLOT`` queued results per slot
-behind, ``admit`` starts nothing until it catches up, so a slow sink
-holds back new jobs instead of letting results pile up in memory.
+The caller's thread does the first fill, every timed wait (``--delay``,
+``--load``/``--memfree``, retry backoff, the ``--halt now`` grace,
+shutdown) and all work that calls user code or writes output: the sink
+through :class:`OutputSequencer`, ``--results`` files and progress
+callbacks.  That work reaches it on one event queue, in the order the
+run lock saw it, so no sink runs while the lock is held.  A result is
+queued only when that thread has work for it (see ``_Run.record``), and
+while ``_BACKLOG_PER_SLOT`` results per slot wait there, ``admit``
+starts nothing: a slow sink holds back new jobs instead of letting
+results pile up in memory.  ``_Run``'s docstring lists what the run
+lock guards.
 
 Ordering invariant (retry fairness): a job's slot is released only after
 its completion — including any retry re-queue — has been handled, under
@@ -165,11 +160,8 @@ class _MemAvailableProbe:
 
 
 class _RetryQueue:
-    """Min-heap of retry jobs keyed on ``eligible_at``, FIFO within ties.
-
-    Replaces the former O(n)-per-dispatch linear scan of a deque: peek
-    and pop of the earliest-eligible job are O(1)/O(log n).
-    """
+    """Min-heap of retry jobs keyed on ``eligible_at``, FIFO within ties:
+    peek and pop of the earliest-eligible job are O(1)/O(log n)."""
 
     __slots__ = ("_heap", "_tie")
 
@@ -179,9 +171,6 @@ class _RetryQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
     def push(self, job: Job) -> None:
         heapq.heappush(self._heap, (job.eligible_at, next(self._tie), job))
@@ -202,13 +191,11 @@ class _WorkerPool:
 
     Each thread loops ``take (job, slot) → run_slot(job, slot)``, and
     ``run_slot`` keeps running the jobs the run admits to it; the thread
-    is back on the queue only when there was nothing to admit.  None of
-    the per-job thread create/start/join cost of a thread-per-job design
-    remains.  The pool grows lazily with observed concurrency
-    (slot-gating bounds in-flight jobs, so it can never exceed
-    ``capacity``).  Threads are daemons: a thread wedged inside a
-    backend cannot block interpreter exit after the bounded shutdown
-    join.
+    is back on the queue only when there was nothing to admit.  The pool
+    grows lazily with observed concurrency (slot-gating bounds in-flight
+    jobs, so it can never exceed ``capacity``).  Threads are daemons: a
+    thread wedged inside a backend cannot block interpreter exit after
+    the bounded shutdown join.
     """
 
     def __init__(self, capacity: int, run_slot: Callable[[Job, int], None]):
@@ -282,22 +269,25 @@ def run_scheduler(
     says ``emit`` does nothing for a result with neither stdout nor
     stderr; without ``--keep-order`` such a result then never reaches it.
     """
-    # Job ingestion stays lazy end to end: a generator source streams
-    # through normalize()/group_args() and is pulled one group per
-    # dispatch, so an unbounded or million-item input never materializes
-    # in the coordinator.  --shuf is the one necessary exception —
-    # shuffling requires the whole list — and it materializes exactly
-    # once, reusing that list for the --eta/halt total.
-    known_total: Optional[int] = None
-    groups: Iterator[ArgGroup]
+    return _Run(template, source, options, backend, emit, progress, emit_silent).run()
+
+
+def _job_groups(
+    source: Iterable[object], options: Options
+) -> tuple[Iterator[ArgGroup], Optional[int]]:
+    """The run's argument groups, and how many there are when known.
+
+    Ingestion stays lazy end to end: a generator source streams through
+    normalize()/group_args() and is pulled one group per dispatch, so an
+    unbounded or million-item input never materializes in the
+    coordinator.  ``--shuf`` is the one necessary exception — shuffling
+    requires the whole list — and it materializes exactly once, reusing
+    that list for the --eta/halt total.
+    """
     if options.shuf:
-        shuffled_groups = shuffled(normalize(source), seed=options.seed)
-        known_total = len(shuffled_groups)
-        groups = iter(shuffled_groups)
-    else:
-        if hasattr(source, "__len__"):
-            known_total = len(source)  # type: ignore[arg-type]
-        groups = normalize(source)
+        source = shuffled(normalize(source), seed=options.seed)
+    known_total = len(source) if hasattr(source, "__len__") else None  # type: ignore[arg-type]
+    groups: Iterator[ArgGroup] = iter(source) if options.shuf else normalize(source)
     if options.colsep:
         colsep_re = re.compile(options.colsep)
         groups = (
@@ -312,405 +302,210 @@ def run_scheduler(
             # floor here under-counted the short final group, skewing
             # --eta/--bar totals (and HaltTracker percentages).
             known_total = ceil_div(known_total, options.max_args)
+    return groups, known_total
 
-    jobs_cap = options.effective_jobs(known_total) if options.jobs == 0 else options.jobs
-    slots = SlotPool(jobs_cap)
-    halt = HaltTracker(options.halt_spec, total_jobs=known_total)
 
-    # Observability: an injected tracer wins; otherwise build one only
-    # when --trace/--metrics asked for output.  tracer stays None on the
-    # default path, so every instrumentation site below costs a single
-    # `is not None` test per job stage when tracing is off.
-    tracer: Optional[RunTracer] = options.tracer  # type: ignore[assignment]
-    if tracer is None and (options.trace or options.metrics):
-        from repro.obs.tracer import RunTracer
+class _Run:
+    """One run of :func:`run_scheduler`: its state and its stages.
 
-        tracer = RunTracer.from_options(options)
+    Slot threads call :meth:`run_slot`; the caller's thread calls
+    :meth:`run`.  Each stage's docstring says which thread runs it and
+    whether it holds ``lock``, the run lock, which guards:
 
-    # The tracer binds before prepare_run so machinery the backend starts
-    # there (e.g. dispatcher shards, whose rpc_frame instants feed the
-    # Chrome trace) reports into it from the first job.
-    if tracer is not None:
-        backend.bind_tracer(tracer)
-    # Per-run backend setup: merged environments, process pools, remote
-    # host pools and staging policy — every per-job-invariant cost a
-    # backend can hoist off the hot path.
-    backend.prepare_run(options)
-    # Command-template interning: sharded backends ship the compiled
-    # template to every dispatcher shard once, so per-job spawn frames
-    # carry only the argument delta (the backend gates on template shape
-    # and no-ops for unsupported forms).
-    intern_hook = getattr(backend, "intern_template", None)
-    if intern_hook is not None and template is not None:
-        intern_hook(template, options)
+    * ``slots``, ``in_flight`` (running jobs by seq) and ``active``;
+    * ``groups``, ``seq_counter``, ``exhausted``, ``retry_q``, ``retry_rng``;
+    * ``joblog``, ``summary``, ``halt``, ``median``, ``timeout`` and
+      ``posted`` (results queued for the caller);
+    * ``stopping`` (admit nothing more), ``halt_deadline``, ``gate_at``,
+      ``throttle_poll``, ``last_dispatch``, ``stalled`` (admission paused
+      on the backlog), ``wake_posted`` and ``error`` (the first exception
+      on a slot thread, re-raised by the caller).
 
-    joblog: Optional[JoblogWriter] = None
-    skip: set[int] = set()
-    if options.joblog:
-        if options.resume:
-            skip = completed_seqs(options.joblog, include_failed=not options.resume_failed)
-        joblog = JoblogWriter(
-            options.joblog,
-            append=options.resume,
-        )
+    Read without ``lock``, where a stale value costs only a later look:
+    ``timeout`` in :meth:`run_slot`, ``stalled`` and ``posted`` in
+    :meth:`take_events`.  Only the caller's thread writes ``reported``
+    (a stale read in :meth:`admit` pauses admission a little longer) and
+    ``results_writer``.  ``events`` is put to under ``lock``, so it keeps
+    the lock's order; it, ``sequencer`` and ``pool`` are thread-safe on
+    their own.  All other fields are set in ``__init__`` and only read.
+    """
 
-    results_writer = ResultsWriter(options.results) if options.results else None
-    has_sink = emit is not None
-    # Only a sink needs output ordered: without one there is nothing to emit.
-    sequencer = OutputSequencer(emit, options) if emit is not None else None
-
-    # Bounded in-memory retention (keep_results): the deque window
-    # keeps coordinator RSS O(window + slots) while every aggregate the
-    # run report needs is maintained incrementally in summary.record().
-    # With an output sink the sink owns each job's stdout, so the window
-    # keeps the record without the text (see record()).
-    summary = RunSummary(
-        results=retention_buffer(options.effective_keep_results())
+    __slots__ = (
+        "template", "options", "backend", "progress", "groups", "known_total",
+        "jobs_cap", "slots", "halt", "tracer", "joblog", "skip",
+        "results_writer", "sequencer", "summary", "lock", "events", "retry_q",
+        "in_flight", "seq_counter", "active", "exhausted", "stopping",
+        "halt_deadline", "gate_at", "throttle_poll", "wake_posted", "error",
+        "wall_start", "last_dispatch", "dry_run", "pipe_mode", "stream_lines",
+        "ordered", "report_all", "posted", "reported", "backlog_cap",
+        "stalled", "retry_rng", "static_command", "callable_repr", "timeout",
+        "timeout_pct", "median", "load_probe", "mem_probe", "gated", "pool",
     )
 
+    def __init__(
+        self, template: Optional[CommandTemplate], source: Iterable[object],
+        options: Options, backend: Backend,
+        emit: Optional[Callable[[JobResult, str], None]],
+        progress: Optional[Callable[..., None]], emit_silent: bool,
+    ) -> None:
+        self.template, self.options, self.backend = template, options, backend
+        self.progress = progress
+        self.groups, self.known_total = _job_groups(source, options)
+        jobs_cap = self.jobs_cap = options.effective_jobs(self.known_total)
+        self.slots = SlotPool(jobs_cap)
+        self.halt = HaltTracker(options.halt_spec, total_jobs=self.known_total)
 
-    # Everything below is guarded by ``run_lock``: the slot pool, retry
-    # queue, input stream, joblog, summary, halt state and these flags.
-    # A slot thread holds it for complete + admit; the caller's thread for
-    # fill and for deciding how long to wait.
-    run_lock = threading.Lock()
-    events: "queue.SimpleQueue" = queue.SimpleQueue()
-    retry_q = _RetryQueue()
-    #: Jobs currently running, by seq — the set we must account for (or
-    #: abandon with synthetic KILLED results) before ``backend.close()``.
-    in_flight: dict[int, Job] = {}
-    seq_counter = itertools.count(1)
-    active = 0
-    #: The input stream has no more groups.
-    exhausted = False
-    #: Admit nothing more: a halt fired, or the run is failing or ending.
-    stopping = False
-    #: Monotonic deadline for in-flight work after ``--halt now``; None
-    #: while no kill is pending.
-    halt_deadline: Optional[float] = None
-    #: Monotonic time when a start refused by --delay/--load/--memfree is
-    #: worth trying again; None when nothing was refused.
-    gate_at: Optional[float] = None
-    throttle_poll = _THROTTLE_POLL_INITIAL
-    #: A ``_WAKE`` is queued, or the caller's thread is looking already.
-    wake_posted = False
-    #: The first exception raised on a slot thread; the caller re-raises it.
-    error: Optional[BaseException] = None
-    wall_start = time.time()
-    last_dispatch = -float("inf")
-    dry_run = options.dry_run
-    pipe_mode = options.pipe_mode
-    stream_lines = sequencer is not None and options.linebuffer
-    retries = options.retries
-    # A final result travels to the caller's thread only when something
-    # there has work for it: every result (``report_all``), or, for a
-    # sink that ignores silent results, one with stdout or stderr.
-    ordered = has_sink and options.keep_order
-    report_all = (
-        ordered or (has_sink and emit_silent)
-        or progress is not None or results_writer is not None
-    )
-    #: Results queued for the caller (written under ``run_lock``) and
-    #: handled by it (written by the caller only); admission pauses, and
-    #: sets ``stalled``, while the difference reaches ``backlog_cap``.
-    posted = reported = 0
-    backlog_cap = _BACKLOG_PER_SLOT * jobs_cap
-    stalled = False
-    if progress is not None:
-        from repro.core.progress import Progress
+        # An injected tracer wins; otherwise build one only when --trace or
+        # --metrics asked for output.  Untraced, every instrumentation site
+        # costs one `is not None` test per job stage.
+        tracer: Optional[RunTracer] = options.tracer  # type: ignore[assignment]
+        if tracer is None and (options.trace or options.metrics):
+            from repro.obs.tracer import RunTracer
 
-    # --retry-delay: exponential backoff with jitter between attempts.
-    # The jitter stream is seeded so chaos runs stay reproducible.
-    retry_rng = random.Random(options.seed if options.seed is not None else 0)
-
-    def retry_delay_for(attempt: int) -> float:
-        return retry_backoff_delay(
-            attempt, options.retry_delay, options.retry_delay_max, retry_rng
-        )
-
-    # Per-job command description; per-run invariants hoisted out.  A
-    # constant template (possible in --pipe mode, where the command line
-    # gets no substitution) renders exactly once.
-    static_command: Optional[str] = None
-    if template is not None and pipe_mode and template.is_static:
-        static_command = template.render(("",), seq=0, slot=0).rstrip()
-    callable_repr: Optional[str] = None
-    if template is None:
-        callable_repr = repr(getattr(backend, "func", backend))
-
-    def describe(args: ArgGroup, seq: int, slot: int) -> str:
+            tracer = RunTracer.from_options(options)
+        self.tracer = tracer
+        # The tracer binds before prepare_run so machinery the backend starts
+        # there (e.g. dispatcher shards, whose rpc_frame instants feed the
+        # Chrome trace) reports into it from the first job.
+        if tracer is not None:
+            backend.bind_tracer(tracer)
+        backend.prepare_run(options)
         if template is not None:
-            if pipe_mode:
-                # --pipe: the block goes to stdin, not the command line.
-                if static_command is not None:
-                    return static_command
-                return template.render(("",), seq=seq, slot=slot).rstrip()
-            return template.render(args, seq=seq, slot=slot, quote=options.quote)
-        return f"{callable_repr}({', '.join(args)})"
+            backend.intern_template(template, options)
 
-    # --timeout: fixed seconds, or N% of the median runtime seen so far
-    # (GNU Parallel's dynamic form; needs >= 3 completed jobs to engage).
-    # The running median is a two-heap stream: O(log n) insert, O(1)
-    # query — runtimes are only tracked when the dynamic form is active.
-    fixed_timeout = options.timeout_s
-    dynamic_pct = options.timeout_pct
-    median_stream = StreamingMedian()
-    median_lock = threading.Lock()
-
-    def effective_timeout() -> Optional[float]:
-        if fixed_timeout is not None:
-            return fixed_timeout
-        if dynamic_pct is not None:
-            with median_lock:
-                if len(median_stream) >= 3:
-                    return median_stream.median() * dynamic_pct
-        return None
-
-    def run_one(job: Job, slot: int) -> JobResult:
-        """One job through the backend, exceptions contained."""
-        if tracer is not None:
-            tracer.job_running(job.seq, job.attempt, slot)
-        try:
-            # Only the dynamic --timeout form needs a call per job.
-            timeout = effective_timeout() if dynamic_pct is not None else fixed_timeout
-            result = backend.run_job(job, slot, options, timeout=timeout)
-            if dynamic_pct is not None and result.state == JobState.SUCCEEDED:
-                with median_lock:
-                    median_stream.push(result.runtime)
-        except Exception as exc:  # backend bug; convert to a failed result
-            now = time.time()
-            result = JobResult(
-                seq=job.seq,
-                args=job.args,
-                command=job.command,
-                exit_code=126,
-                stderr=f"backend error: {exc!r}",
-                start_time=now,
-                end_time=now,
-                slot=slot,
-                host=backend.host,
-                attempt=job.attempt,
-                state=JobState.FAILED,
-            )
-        return result
-
-    # --load / --memfree probes.
-    load_probe = options.load_probe or (
-        (lambda: os.getloadavg()[0]) if hasattr(os, "getloadavg") else (lambda: 0.0)
-    )
-    default_mem_probe: Optional[_MemAvailableProbe] = None
-    if options.memfree_probe is not None:
-        mem_probe = options.memfree_probe
-    else:
-        default_mem_probe = _MemAvailableProbe()
-        mem_probe = default_mem_probe
-    throttled = options.max_load is not None or options.memfree is not None
-    gated = options.delay > 0 or throttled
-
-    def gate_wait() -> float:
-        """Seconds until --delay/--load/--memfree let a job start (0 = now).
-
-        A refused throttle probe doubles the next poll interval, up to
-        ``_THROTTLE_POLL_MAX``; a passing one resets it.
-        """
-        nonlocal throttle_poll
-        if options.delay > 0:
-            wait = last_dispatch + options.delay - time.monotonic()
-            if wait > 0:
-                return wait
-        if throttled:
-            if (options.max_load is not None and load_probe() > options.max_load) or (
-                options.memfree is not None and mem_probe() < options.memfree
-            ):
-                wait, throttle_poll = throttle_poll, min(throttle_poll * 2.0, _THROTTLE_POLL_MAX)
-                return wait
-            throttle_poll = _THROTTLE_POLL_INITIAL
-        return 0.0
-
-    def wake() -> None:
-        """Have the caller's thread look at the run again (one pending wake)."""
-        nonlocal wake_posted
-        if not wake_posted:
-            wake_posted = True
-            events.put(_WAKE)
-
-    def pull_fresh() -> Optional[Job]:
-        """Pull the next fresh job off the input stream (None = exhausted)."""
-        nonlocal exhausted
-        for args in groups:
-            seq = next(seq_counter)
-            if seq in skip:
-                summary.n_skipped += 1
-                if ordered:
-                    events.put((_SKIP, seq, 0, 0))
-                continue
-            if tracer is not None:
-                tracer.job_submitted(seq)
-            return Job(seq=seq, args=args)
-        exhausted = True
-        return None
-
-    def admit() -> Optional[tuple[Job, int]]:
-        """Stamp the next job onto the lowest free slot; None if none can start.
-
-        A ready retry outranks fresh input.  Runs under ``run_lock`` on
-        whichever thread holds it.  When a start has to wait for time to
-        pass (a gate, a retry backoff) or the run may be over, it wakes
-        the caller's thread, which does the waiting.
-        """
-        nonlocal active, gate_at, last_dispatch, stalled
-        if stopping:
-            if active == 0:
-                wake()
-            return None
-        gate_at = None
-        if posted - reported >= backlog_cap:
-            stalled = True  # the caller refills once it has caught up
-            return None
-        slot = slots.acquire()
-        if slot is None:
-            return None  # every slot busy: a completion will admit
-        try:
-            if gated:
-                wait = gate_wait()
-                if wait > 0:
-                    slots.release(slot)
-                    gate_at = time.monotonic() + wait
-                    wake()
-                    return None
-            job = retry_q.pop_ready(time.time()) if retry_q else None
-            if job is None and not exhausted:
-                job = pull_fresh()
-            if job is None:
-                slots.release(slot)
-                if retry_q or active == 0:
-                    wake()
-                return None
-            job.attempt += 1
-            if tracer is not None:
-                tracer.attempt_started(job.seq, job.attempt, slot)
-            if pipe_mode and job.stdin_data is None:
-                job.stdin_data = job.args[0]
-                job.args = (f"<block {job.seq}>",)
-            job.command = describe(job.args, job.seq, slot)
-            if stream_lines:
-                job.stream = sequencer.stream_for(job, slot)
-        except BaseException:
-            slots.release(slot)
-            raise
-        job.state = JobState.RUNNING
-        if options.delay > 0:
-            last_dispatch = time.monotonic()
-        summary.n_dispatched += 1
-        active += 1
-        in_flight[job.seq] = job
-        if tracer is not None:
-            tracer.job_dispatched(job.seq, job.attempt, slot)
-        return job, slot
-
-    def record(job: Job, result: JobResult) -> None:
-        """Route one attempt's result to the joblog, retry queue and summary.
-
-        Runs under ``run_lock``.  With an output sink (``has_sink``) the
-        summary's retention window records a copy without ``stdout``: the
-        sink, fed by ``sequencer`` (whose ``--keep-order`` hold keeps the
-        full result until it emits), is the text's one owner, so a long
-        run does not hold every job's output after printing it — GNU
-        Parallel likewise deletes its output buffer files once printed.
-        ``stderr`` and ``value`` stay on the record for failure reports
-        and ``Parallel.map``.  The full result goes to the caller's
-        thread for ``--results``, the sink and progress, when that thread
-        has work for it (``report_all``, or output for the sink).
-        """
-        nonlocal posted
-        if joblog is not None and not dry_run:
-            joblog.write(result)
-        state = result.state
-        if (
-            (state is JobState.FAILED or state is JobState.TIMED_OUT)
-            and not dry_run
-            and should_retry(job, result.exit_code, retries)
-            and not halt.triggered
-        ):
-            job.state = JobState.PENDING
-            delay = retry_delay_for(job.attempt)
-            job.eligible_at = time.time() + delay if delay > 0 else 0.0
-            if tracer is not None:
-                tracer.attempt_finished(
-                    job, result, retried=True, eligible_at=job.eligible_at
+        self.joblog: Optional[JoblogWriter] = None
+        self.skip: set[int] = set()
+        if options.joblog:
+            if options.resume:
+                self.skip = completed_seqs(
+                    options.joblog, include_failed=not options.resume_failed
                 )
-            retry_q.push(job)
-            if delay > 0:
-                wake()  # the caller's thread times the backoff
-            return
+            self.joblog = JoblogWriter(options.joblog, append=options.resume)
+        self.results_writer = ResultsWriter(options.results) if options.results else None
+        # Only a sink needs output ordered: without one there is nothing to emit.
+        self.sequencer = sequencer = OutputSequencer(emit, options) if emit is not None else None
+        # Bounded in-memory retention (keep_results): the deque window
+        # keeps coordinator RSS O(window + slots) while every aggregate the
+        # run report needs is maintained incrementally in summary.record().
+        self.summary = RunSummary(results=retention_buffer(options.effective_keep_results()))
+
+        self.lock = threading.Lock()
+        self.events: "queue.SimpleQueue" = queue.SimpleQueue()
+        self.retry_q = _RetryQueue()
+        self.in_flight: dict[int, Job] = {}
+        self.seq_counter = itertools.count(1)
+        self.active = self.posted = self.reported = 0
+        self.exhausted = self.stopping = self.wake_posted = self.stalled = False
+        self.halt_deadline: Optional[float] = None
+        self.gate_at: Optional[float] = None
+        self.throttle_poll = _THROTTLE_POLL_INITIAL
+        self.error: Optional[BaseException] = None
+        self.wall_start = time.time()
+        self.last_dispatch = -float("inf")
+        self.dry_run = options.dry_run
+        self.pipe_mode = options.pipe_mode
+        self.stream_lines = sequencer is not None and options.linebuffer
+        # A final result travels to the caller's thread only when something
+        # there has work for it: every result (``report_all``), or, for a
+        # sink that ignores silent results, one with stdout or stderr.
+        self.ordered = sequencer is not None and options.keep_order
+        self.report_all = (
+            self.ordered or (sequencer is not None and emit_silent)
+            or progress is not None or self.results_writer is not None
+        )
+        self.backlog_cap = _BACKLOG_PER_SLOT * jobs_cap
+        # --retry-delay: exponential backoff with jitter between attempts.
+        # The jitter stream is seeded so chaos runs stay reproducible.
+        self.retry_rng = random.Random(options.seed if options.seed is not None else 0)
+
+        # A constant template (possible in --pipe mode, where the command
+        # line gets no substitution) renders exactly once.
+        self.static_command: Optional[str] = None
+        if template is not None and self.pipe_mode and template.is_static:
+            self.static_command = template.render(("",), seq=0, slot=0).rstrip()
+        func = backend.func
+        self.callable_repr = repr(backend if func is None else func)
+
+        # --timeout: fixed seconds, or N% of the median runtime seen so far
+        # (GNU Parallel's dynamic form; needs >= 3 completed jobs to engage).
+        # The running median is a two-heap stream: O(log n) insert, O(1)
+        # query, fed by ``record`` only while the dynamic form is active.
+        self.timeout: Optional[float] = options.timeout_s
+        self.timeout_pct = options.timeout_pct
+        self.median = StreamingMedian()
+
+        self.load_probe = options.load_probe or (
+            (lambda: os.getloadavg()[0]) if hasattr(os, "getloadavg") else (lambda: 0.0)
+        )
+        self.mem_probe = (
+            options.memfree_probe if options.memfree_probe is not None else _MemAvailableProbe()
+        )
+        self.gated = (
+            options.delay > 0 or options.max_load is not None or options.memfree is not None
+        )
+
+        self.pool = _WorkerPool(jobs_cap, self.run_slot)
+
+    # -- the caller's thread -------------------------------------------------
+    def run(self) -> RunSummary:
+        """Serve the run to its end, then settle and report it (caller)."""
+        tracer, pool = self.tracer, self.pool
         if tracer is not None:
-            tracer.attempt_finished(job, result)
-        job.state = state
-        summary.record(_without_stdout(result) if has_sink and result.stdout else result)
-        halt.record(state)
-        if report_all or (has_sink and (result.stdout or result.stderr)):
-            posted += 1
-            events.put(
-                (_PUSH, result, summary.n_completed + summary.n_skipped, summary.n_failed)
+            tracer.bind_gauges(
+                queue_depth=lambda: pool.queue_depth,
+                slots_in_use=lambda: self.slots.in_use,
+                pool_size=lambda: pool.size,
+                retry_depth=lambda: len(self.retry_q),
+                in_flight=lambda: len(self.in_flight),
             )
-
-    def complete(job: Job, slot: int, result: JobResult) -> None:
-        """Account for one finished attempt, then free its slot.
-
-        Runs under ``run_lock``.  The slot goes back only after the
-        joblog write, the retry re-queue and the halt check, so a freed
-        slot never outruns its own completion (retry fairness).
-        """
-        nonlocal active, stopping, halt_deadline
-        if in_flight.pop(job.seq, None) is None:
-            return  # abandoned at shutdown and accounted for there
+            tracer.run_started(
+                jobs_cap=self.jobs_cap, total=self.known_total,
+                dispatchers=self.backend.dispatchers, rpc_batch=self.backend.rpc_batch,
+            )
+        settled = False
         try:
-            record(job, result)
-            if halt.triggered and not stopping:
-                stopping = True
-                if halt.kill_running:
-                    backend.cancel_all()
-                    halt_deadline = time.monotonic() + options.halt_grace
-                wake()
+            self.serve()
+            self.settle(self.report)
+            settled = True
         finally:
-            slots.release(slot)
-            active -= 1
+            if not settled:
+                # Failing (a sink, the joblog or the input raised, or an
+                # interrupt): kill what runs, account for it, and call no
+                # more user code: the sink may be what raised.
+                with self.lock:
+                    self.stopping = True
+                    running = self.active
+                if running:
+                    self.backend.cancel_all()
+                self.settle(self.salvage)
+            # Idle threads only need to take a _STOP sentinel; a thread still
+            # wedged in the backend gets a short join and is left behind.
+            pool.shutdown(time.monotonic() + 0.5)
+            self.finish()
+        return self.summary
 
-    def run_slot(job: Job, slot: int) -> None:
-        """A slot thread's turn: run jobs for as long as one is admitted."""
-        nonlocal error, stopping
+    def serve(self) -> None:
+        """Fill, wait and report until no job is running or can start.
+
+        The caller's thread; it takes ``lock`` to fill and to decide how
+        long to wait, and handles events without it.
+        """
         while True:
-            result = run_one(job, slot)
-            with run_lock:
-                try:
-                    complete(job, slot, result)
-                    nxt = admit()
-                except BaseException as exc:  # re-raised on the caller's thread
-                    if error is None:
-                        error = exc
-                    stopping = True
-                    wake()
+            with self.lock:
+                if self.error is not None:
+                    raise self.error
+                self.wake_posted = True  # looking now: no wake-up needed
+                self.stalled = False
+                more = self.fill()
+                if self.active == 0 and (self.stopping or (self.exhausted and not self.retry_q)):
                     return
-            if nxt is None:
-                return
-            job, slot = nxt
+                if self.halt_deadline is not None and time.monotonic() >= self.halt_deadline:
+                    return  # --halt now grace spent: abandon the stragglers
+                wait = 0.0 if more else self.next_wait()
+                self.wake_posted = False
+            self.take_events(wait, self.report)
 
-    pool = _WorkerPool(jobs_cap, run_slot)
-    if tracer is not None:
-        tracer.bind_gauges(
-            queue_depth=lambda: pool.queue_depth,
-            slots_in_use=lambda: slots.in_use,
-            pool_size=lambda: pool.size,
-            retry_depth=lambda: len(retry_q),
-            in_flight=lambda: len(in_flight),
-        )
-        tracer.run_started(
-            jobs_cap=jobs_cap, total=known_total,
-            dispatchers=getattr(backend, "dispatchers", 1),
-            rpc_batch=getattr(backend, "rpc_batch", 1),
-        )
-
-    def fill() -> bool:
+    def fill(self) -> bool:
         """Admit and hand out jobs until ``admit`` has none (caller, locked).
 
         A ``--dry-run`` job is completed here instead; one per call, so
@@ -718,75 +513,40 @@ def run_scheduler(
         when it handled one.
         """
         while True:
-            nxt = admit()
+            nxt = self.admit()
             if nxt is None:
                 return False
             job, slot = nxt
-            if dry_run:
-                now = time.time()
-                complete(job, slot, JobResult(
-                    seq=job.seq, args=job.args, command=job.command,
-                    exit_code=0, start_time=now, end_time=now, slot=slot,
-                    host=backend.host, attempt=job.attempt,
-                    state=JobState.SUCCEEDED, stdout=job.command + "\n",
+            if self.dry_run:
+                self.complete(job, slot, self.synthetic(
+                    job, slot, 0, JobState.SUCCEEDED, stdout=job.command + "\n"
                 ))
                 return True
-            pool.submit(job, slot, active)
+            self.pool.submit(job, slot, self.active)
 
-    def next_wait() -> Optional[float]:
+    def next_wait(self) -> Optional[float]:
         """Seconds until a timed wait is due (caller, locked); None = none."""
         waits = []
-        if halt_deadline is not None:
-            waits.append(halt_deadline - time.monotonic())
-        if not stopping:
-            if gate_at is not None:
-                waits.append(gate_at - time.monotonic())
-            if retry_q:
+        if self.halt_deadline is not None:
+            waits.append(self.halt_deadline - time.monotonic())
+        if not self.stopping:
+            if self.gate_at is not None:
+                waits.append(self.gate_at - time.monotonic())
+            if self.retry_q:
                 # A retry that fell due since ``fill`` looked is admitted
                 # now if a slot is free and no gate refused it (``gate_at``
                 # times that start); with every slot busy, the next
                 # completion admits it.
-                backoff = retry_q.earliest_at() - time.time()
-                if backoff > 0 or (active < jobs_cap and gate_at is None):
+                backoff = self.retry_q.earliest_at() - time.time()
+                if backoff > 0 or (self.active < self.jobs_cap and self.gate_at is None):
                     waits.append(backoff)
         return max(0.0, min(waits)) if waits else None
 
-    def report(item: tuple) -> None:
-        """Hand one event's result to --results, the sink and progress."""
-        nonlocal reported
-        op, payload, done, failed = item
-        if op == _SKIP:
-            sequencer.skip(payload)
-            return
-        reported += 1
-        if results_writer is not None and not dry_run:
-            results_writer.write(payload)
-        if sequencer is not None:
-            sequencer.push(payload)
-        if progress is not None:
-            progress(Progress(
-                done=done, failed=failed, total=known_total,
-                elapsed=time.time() - wall_start,
-            ))
-
-    def salvage(item: tuple) -> None:
-        """A failing run's event: write --results only, call no user code.
-
-        The joblog already holds the job, so without its ``--results``
-        files ``--resume`` would skip it for good.  The first error stops
-        the writing: the writer may be what failed.
-        """
-        nonlocal results_writer
-        if item[0] == _PUSH and results_writer is not None and not dry_run:
-            try:
-                results_writer.write(item[1])
-            except Exception:
-                results_writer = None
-
-    def take_events(wait: Optional[float], handle: Callable[[tuple], None] = report) -> None:
-        """Handle events until a wake-up, or for ``wait`` seconds (None = no limit)."""
+    def take_events(self, wait: Optional[float], handle: Callable[[tuple], None]) -> None:
+        """Handle events until a wake-up, or for ``wait`` seconds (None = no
+        limit).  The caller's thread, not holding ``lock``."""
         deadline = None if wait is None else time.monotonic() + wait
-        get = events.get
+        get = self.events.get
         while True:
             try:
                 if deadline is None:
@@ -798,111 +558,335 @@ def run_scheduler(
             if item is _WAKE:
                 return
             handle(item)
-            if stalled and posted - reported < backlog_cap:
+            if self.stalled and self.posted - self.reported < self.backlog_cap:
                 return  # caught up: refill the slots admission paused
 
-    def serve() -> None:
-        """The caller's thread until no job is running or can start."""
-        nonlocal wake_posted, stalled
-        while True:
-            with run_lock:
-                if error is not None:
-                    raise error
-                wake_posted = True  # looking now: no wake-up needed
-                stalled = False
-                more = fill()
-                if active == 0 and (stopping or (exhausted and not retry_q)):
-                    return
-                if halt_deadline is not None and time.monotonic() >= halt_deadline:
-                    return  # --halt now grace spent: abandon the stragglers
-                wait = 0.0 if more else next_wait()
-                wake_posted = False
-            take_events(wait)
+    def report(self, item: tuple) -> None:
+        """Hand one event's result to --results, the sink and progress
+        (caller, unlocked)."""
+        op, payload, done, failed = item
+        if op == _SKIP:
+            self.sequencer.skip(payload)
+            return
+        self.reported += 1
+        if self.results_writer is not None and not self.dry_run:
+            self.results_writer.write(payload)
+        if self.sequencer is not None:
+            self.sequencer.push(payload)
+        if self.progress is not None:
+            from repro.core.progress import Progress
 
-    def settle(handle: Callable[[tuple], None]) -> None:
+            self.progress(Progress(
+                done=done, failed=failed, total=self.known_total,
+                elapsed=time.time() - self.wall_start,
+            ))
+
+    def salvage(self, item: tuple) -> None:
+        """A failing run's event: write --results only, call no user code
+        (caller, unlocked).
+
+        The joblog already holds the job, so without its ``--results``
+        files ``--resume`` would skip it for good.  The first error stops
+        the writing: the writer may be what failed.
+        """
+        if item[0] == _PUSH and self.results_writer is not None and not self.dry_run:
+            try:
+                self.results_writer.write(item[1])
+            except Exception:
+                self.results_writer = None
+
+    def settle(self, handle: Callable[[tuple], None]) -> None:
         """Wait out in-flight jobs within the grace window, abandon the rest.
 
-        Each job still running at the deadline gets a synthetic KILLED
-        result so the joblog and summary account for it; the slot thread
-        running it (if it ever returns) finds it gone and records nothing.
-        Every event left is then handled by ``handle``.
+        The caller's thread; it takes ``lock`` for each look.  Each job
+        still running at the deadline gets a synthetic KILLED result so
+        the joblog and summary account for it; the slot thread running it
+        (if it ever returns) finds it gone and records nothing.  Every
+        event left is then handled by ``handle``.
         """
-        nonlocal stopping, wake_posted, active
-        deadline = time.monotonic() + options.halt_grace
-        if halt_deadline is not None:
-            deadline = min(deadline, halt_deadline)
+        deadline = time.monotonic() + self.options.halt_grace
+        if self.halt_deadline is not None:
+            deadline = min(deadline, self.halt_deadline)
         while True:
-            with run_lock:
-                stopping = True
-                if active == 0:
+            with self.lock:
+                self.stopping = True
+                if self.active == 0:
                     break
-                wake_posted = False
+                self.wake_posted = False
             left = deadline - time.monotonic()
-            take_events(max(0.01, left), handle)
+            self.take_events(max(0.01, left), handle)
             if left <= 0:
                 break
-        with run_lock:
-            for job in in_flight.values():
-                now = time.time()
-                record(job, JobResult(
-                    seq=job.seq, args=job.args, command=job.command,
-                    exit_code=-1, stderr="abandoned in flight at shutdown",
-                    start_time=now, end_time=now, slot=0, host=backend.host,
-                    attempt=job.attempt, state=JobState.KILLED,
+        with self.lock:
+            for job in self.in_flight.values():
+                self.record(job, self.synthetic(
+                    job, 0, -1, JobState.KILLED, stderr="abandoned in flight at shutdown"
                 ))
-            in_flight.clear()
-            active = 0
-        while not events.empty():
-            take_events(0.0, handle)
+            self.in_flight.clear()
+            self.active = 0
+        while not self.events.empty():
+            self.take_events(0.0, handle)
 
-    settled = False
-    try:
-        serve()
-        settle(report)
-        settled = True
-    finally:
-        if not settled:
-            # Failing (a sink, the joblog or the input raised, or an
-            # interrupt): kill what runs, account for it, and call no
-            # more user code: the sink may be what raised.
-            with run_lock:
-                stopping = True
-                running = active
-            if running:
-                backend.cancel_all()
-            settle(salvage)
-        # Idle threads only need to take a _STOP sentinel; a thread still
-        # wedged in the backend gets a short join and is left behind.
-        pool.shutdown(time.monotonic() + 0.5)
-        summary.halted = halt.triggered
-        summary.halt_reason = halt.reason
-        summary.wall_time = time.time() - wall_start
-        if default_mem_probe is not None:
-            default_mem_probe.close()
+    def finish(self) -> None:
+        """Close the run's files and backend, and fill in the summary's
+        run-wide fields (caller, after the slot threads are stopped)."""
+        summary, backend = self.summary, self.backend
+        summary.halted = self.halt.triggered
+        summary.halt_reason = self.halt.reason
+        summary.wall_time = time.time() - self.wall_start
+        if isinstance(self.mem_probe, _MemAvailableProbe):
+            self.mem_probe.close()
         try:
-            if joblog is not None:
-                joblog.close()
-            # Data-plane counters (staging cache hits, bytes avoided) land
-            # on the summary so both the run report and the tracer's
-            # RUN_END carry them.
-            stats_hook = getattr(backend, "staging_stats", None)
-            if stats_hook is not None:
-                staging_stats = stats_hook()
-                if staging_stats:
-                    summary.staging = staging_stats
-            # Control-plane counters (frames sent/received, jobs per
-            # frame, interning, failover re-queues) from sharded backends.
-            rpc_hook = getattr(backend, "control_plane_stats", None)
-            if rpc_hook is not None:
-                rpc_stats = rpc_hook()
-                if rpc_stats:
-                    summary.rpc = rpc_stats
+            if self.joblog is not None:
+                self.joblog.close()
+            # Data- and control-plane counters land on the summary so both
+            # the run report and the tracer's RUN_END carry them.
+            summary.staging = backend.staging_stats()
+            summary.rpc = backend.control_plane_stats()
             summary.coordinator_rss = _coordinator_rss()
-            if tracer is not None:
-                tracer.run_finished(summary)
+            if self.tracer is not None:
+                self.tracer.run_finished(summary)
         finally:
             backend.close()
-    return summary
+
+    # -- slot threads; the stages after run_slot also run in the caller's fill --
+    def run_slot(self, job: Job, slot: int) -> None:
+        """A slot thread's turn: run jobs for as long as one is admitted.
+
+        Runs each job without ``lock``, a backend's exception contained
+        as a failed result, then takes ``lock`` to complete that job and
+        admit the next.
+        """
+        lock, complete, admit = self.lock, self.complete, self.admit
+        run_job, options, tracer = self.backend.run_job, self.options, self.tracer
+        while True:
+            if tracer is not None:
+                tracer.job_running(job.seq, job.attempt, slot)
+            try:
+                result = run_job(job, slot, options, timeout=self.timeout)
+            except Exception as exc:  # backend bug; convert to a failed result
+                result = self.synthetic(
+                    job, slot, 126, JobState.FAILED, stderr=f"backend error: {exc!r}"
+                )
+            with lock:
+                try:
+                    complete(job, slot, result)
+                    nxt = admit()
+                except BaseException as exc:  # re-raised on the caller's thread
+                    if self.error is None:
+                        self.error = exc
+                    self.stopping = True
+                    self.wake()
+                    return
+            if nxt is None:
+                return
+            job, slot = nxt
+
+    def synthetic(
+        self, job: Job, slot: int, exit_code: int, state: JobState,
+        stdout: str = "", stderr: str = "",
+    ) -> JobResult:
+        """A result no backend produced: a dry run's, a backend error's, or
+        an abandoned job's (any thread)."""
+        now = time.time()
+        return JobResult(
+            job.seq, job.args, job.command, exit_code, stdout, stderr, now, now,
+            slot, self.backend.host, job.attempt, state,
+        )
+
+    def admit(self) -> Optional[tuple[Job, int]]:
+        """Stamp the next job onto the lowest free slot; None if none can start.
+
+        A ready retry outranks fresh input.  Runs under ``lock`` on
+        whichever thread holds it.  When a start has to wait for time to
+        pass (a gate, a retry backoff) or the run may be over, it wakes
+        the caller's thread, which does the waiting.
+        """
+        if self.stopping:
+            if self.active == 0:
+                self.wake()
+            return None
+        self.gate_at = None
+        if self.posted - self.reported >= self.backlog_cap:
+            self.stalled = True  # the caller refills once it has caught up
+            return None
+        slots = self.slots
+        slot = slots.acquire()
+        if slot is None:
+            return None  # every slot busy: a completion will admit
+        try:
+            if self.gated:
+                wait = self.gate_wait()
+                if wait > 0:
+                    slots.release(slot)
+                    self.gate_at = time.monotonic() + wait
+                    self.wake()
+                    return None
+            retry_q = self.retry_q
+            job = retry_q.pop_ready(time.time()) if retry_q else None
+            if job is None and not self.exhausted:
+                job = self.pull_fresh()
+            if job is None:
+                slots.release(slot)
+                if retry_q or self.active == 0:
+                    self.wake()
+                return None
+            job.attempt += 1
+            tracer = self.tracer
+            if tracer is not None:
+                tracer.attempt_started(job.seq, job.attempt, slot)
+            if self.pipe_mode and job.stdin_data is None:
+                job.stdin_data = job.args[0]
+                job.args = (f"<block {job.seq}>",)
+            job.command = self.describe(job.args, job.seq, slot)
+            if self.stream_lines:
+                job.stream = self.sequencer.stream_for(job, slot)
+        except BaseException:
+            slots.release(slot)
+            raise
+        job.state = JobState.RUNNING
+        if self.options.delay > 0:
+            self.last_dispatch = time.monotonic()
+        self.summary.n_dispatched += 1
+        self.active += 1
+        self.in_flight[job.seq] = job
+        if tracer is not None:
+            tracer.job_dispatched(job.seq, job.attempt, slot)
+        return job, slot
+
+    def gate_wait(self) -> float:
+        """Seconds until --delay/--load/--memfree let a job start (0 = now).
+
+        Under ``lock``.  A refused throttle probe doubles the next poll
+        interval, up to ``_THROTTLE_POLL_MAX``; a passing one resets it.
+        """
+        options = self.options
+        if options.delay > 0:
+            wait = self.last_dispatch + options.delay - time.monotonic()
+            if wait > 0:
+                return wait
+        if options.max_load is not None or options.memfree is not None:
+            if (options.max_load is not None and self.load_probe() > options.max_load) or (
+                options.memfree is not None and self.mem_probe() < options.memfree
+            ):
+                wait = self.throttle_poll
+                self.throttle_poll = min(wait * 2.0, _THROTTLE_POLL_MAX)
+                return wait
+            self.throttle_poll = _THROTTLE_POLL_INITIAL
+        return 0.0
+
+    def pull_fresh(self) -> Optional[Job]:
+        """The next fresh job off the input stream (None = exhausted).
+
+        Under ``lock``.
+        """
+        for args in self.groups:
+            seq = next(self.seq_counter)
+            if seq in self.skip:
+                self.summary.n_skipped += 1
+                if self.ordered:
+                    self.events.put((_SKIP, seq, 0, 0))
+                continue
+            if self.tracer is not None:
+                self.tracer.job_submitted(seq)
+            return Job(seq=seq, args=args)
+        self.exhausted = True
+        return None
+
+    def describe(self, args: ArgGroup, seq: int, slot: int) -> str:
+        """The command a job records: its rendered template, or
+        ``func(args...)`` for a callable backend (under ``lock``)."""
+        template = self.template
+        if template is None:
+            return f"{self.callable_repr}({', '.join(args)})"
+        if self.pipe_mode:
+            # --pipe: the block goes to stdin, not the command line.
+            if self.static_command is not None:
+                return self.static_command
+            return template.render(("",), seq=seq, slot=slot).rstrip()
+        return template.render(args, seq=seq, slot=slot, quote=self.options.quote)
+
+    def complete(self, job: Job, slot: int, result: JobResult) -> None:
+        """Account for one finished attempt, then free its slot.
+
+        Under ``lock``.  The slot goes back only after the joblog write,
+        the retry re-queue and the halt check, so a freed slot never
+        outruns its own completion (retry fairness).
+        """
+        if self.in_flight.pop(job.seq, None) is None:
+            return  # abandoned at shutdown and accounted for there
+        try:
+            self.record(job, result)
+            halt = self.halt
+            if halt.triggered and not self.stopping:
+                self.stopping = True
+                if halt.kill_running:
+                    self.backend.cancel_all()
+                    self.halt_deadline = time.monotonic() + self.options.halt_grace
+                self.wake()
+        finally:
+            self.slots.release(slot)
+            self.active -= 1
+
+    def record(self, job: Job, result: JobResult) -> None:
+        """Route one attempt's result to the joblog, retry queue and summary.
+
+        Under ``lock``.  With an output sink the summary's retention
+        window records a copy without ``stdout``: the sink, fed by
+        ``sequencer``, is the text's one owner, so a long run does not
+        hold every job's output after printing it, as GNU Parallel deletes
+        its output buffer files once printed.  ``stderr`` and ``value``
+        stay for failure reports and ``Parallel.map``.  The full result
+        goes to the caller's thread when that thread has work for it
+        (``report_all``, or output for the sink).
+        """
+        if self.joblog is not None and not self.dry_run:
+            self.joblog.write(result)
+        state = result.state
+        tracer = self.tracer
+        if (
+            (state is JobState.FAILED or state is JobState.TIMED_OUT)
+            and not self.dry_run
+            and should_retry(job, result.exit_code, self.options.retries)
+            and not self.halt.triggered
+        ):
+            job.state = JobState.PENDING
+            options = self.options
+            delay = retry_backoff_delay(
+                job.attempt, options.retry_delay, options.retry_delay_max, self.retry_rng
+            )
+            job.eligible_at = time.time() + delay if delay > 0 else 0.0
+            if tracer is not None:
+                tracer.attempt_finished(
+                    job, result, retried=True, eligible_at=job.eligible_at
+                )
+            self.retry_q.push(job)
+            if delay > 0:
+                self.wake()  # the caller's thread times the backoff
+            return
+        if tracer is not None:
+            tracer.attempt_finished(job, result)
+        job.state = state
+        if state is JobState.SUCCEEDED and self.timeout_pct is not None:
+            self.median.push(result.runtime)
+            if len(self.median) >= 3:
+                self.timeout = self.median.median() * self.timeout_pct
+        summary = self.summary
+        sink = self.sequencer is not None
+        summary.record(_without_stdout(result) if sink and result.stdout else result)
+        self.halt.record(state)
+        if self.report_all or (sink and (result.stdout or result.stderr)):
+            self.posted += 1
+            self.events.put(
+                (_PUSH, result, summary.n_completed + summary.n_skipped, summary.n_failed)
+            )
+
+    def wake(self) -> None:
+        """Have the caller's thread look at the run again (one pending
+        wake; under ``lock``)."""
+        if not self.wake_posted:
+            self.wake_posted = True
+            self.events.put(_WAKE)
 
 
 def _without_stdout(r: JobResult) -> JobResult:

@@ -39,7 +39,7 @@ class FaultyBackend(Backend):
     def __init__(self, inner: Backend, plan: FaultPlan):
         self.inner = inner
         self.plan = plan
-        self.host = getattr(inner, "host", "local")
+        self.host = inner.host
         self._cancelled = threading.Event()
         self._lock = threading.Lock()
         self._injected: Counter = Counter()
@@ -107,21 +107,21 @@ class FaultyBackend(Backend):
         super().bind_tracer(tracer)
         self.inner.bind_tracer(tracer)
 
-    def intern_template(self, template, options: Options) -> None:
-        # Template interning reaches the real (sharded) backend; the
-        # wrapper itself renders nothing.
-        intern = getattr(self.inner, "intern_template", None)
-        if intern is not None:
-            intern(template, options)
+    # The run-wide members the scheduler reads are the inner backend's:
+    # the wrapper renders, stages and shards nothing itself.
+    func = property(lambda self: self.inner.func)
+    total_slots = property(lambda self: self.inner.total_slots)
+    dispatchers = property(lambda self: self.inner.dispatchers)
+    rpc_batch = property(lambda self: self.inner.rpc_batch)
 
-    @property
-    def total_slots(self) -> int | None:
-        """The inner backend's roster-wide concurrency (None when local)."""
-        return getattr(self.inner, "total_slots", None)
+    def intern_template(self, template, options: Options) -> None:
+        self.inner.intern_template(template, options)
+
+    def staging_stats(self) -> dict:
+        return self.inner.staging_stats()
 
     def control_plane_stats(self) -> dict:
-        stats = getattr(self.inner, "control_plane_stats", None)
-        return stats() if stats is not None else {}
+        return self.inner.control_plane_stats()
 
     def cancel_all(self) -> None:
         self._cancelled.set()
@@ -136,7 +136,7 @@ class FaultyBackend(Backend):
         """
         self.inner = self.inner.renew()
         self._cancelled = threading.Event()
-        self.host = getattr(self.inner, "host", "local")
+        self.host = self.inner.host
         return self
 
     def close(self) -> None:

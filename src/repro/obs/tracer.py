@@ -54,6 +54,9 @@ class RunTracer:
         interval's completion rate).
     """
 
+    #: Seconds between gauge samples in a tracer built by :meth:`from_options`.
+    DEFAULT_METRICS_INTERVAL = 1.0
+
     def __init__(
         self,
         node: str = "",
@@ -96,9 +99,7 @@ class RunTracer:
             sinks.append(ChromeTraceSink(options.trace, node=node))
         if options.metrics:
             sinks.append(MetricsJsonlSink(options.metrics, node=node))
-        return cls(
-            node=node, sinks=sinks, metrics_interval=options.metrics_interval
-        )
+        return cls(node=node, sinks=sinks, metrics_interval=cls.DEFAULT_METRICS_INTERVAL)
 
     # -- run lifecycle -------------------------------------------------------
     def run_started(

@@ -10,7 +10,6 @@ shell jobs agreeing on the environment.
 
 import ctypes
 import io
-import itertools
 import os
 
 import pytest
@@ -90,14 +89,6 @@ def test_a_mid_run_environ_change_keeps_both_legs_agreeing(monkeypatch):
     # sink sets a variable after the first job: a job sees it or not,
     # but directly exec'd and shell jobs agree on everything else, and
     # both see it in the next run.
-    # A library may have set names in the C environment behind
-    # os.environ's back (readline's LINES and COLUMNS), which only a job
-    # the shell runs inherits: copy them in, so both legs start equal.
-    environ = ctypes.POINTER(ctypes.c_char_p).in_dll(ctypes.CDLL(None), "environ")
-    for entry in itertools.takewhile(bool, (environ[i] for i in itertools.count())):
-        key, value = entry.split(b"=", 1)
-        if key not in os.environb:
-            monkeypatch.setenv(os.fsdecode(key), os.fsdecode(value))
     monkeypatch.delenv("REPRO_MID_RUN", raising=False)
     commands = ["env", "env #"] * 12
     seen = []
@@ -119,6 +110,30 @@ def test_a_mid_run_environ_change_keeps_both_legs_agreeing(monkeypatch):
     by_command = {r.command: _env_of(r.stdout) for r in again.results}
     assert by_command["env"]["REPRO_MID_RUN"] == "1"
     assert by_command["env #"] == by_command["env"]
+
+
+def test_a_name_set_only_in_the_c_environment_reaches_both_legs(monkeypatch):
+    # A library can set a name with C setenv, behind os.environ's back
+    # (readline sets LINES and COLUMNS).  A job the shell runs inherits
+    # it, so a directly exec'd job must get it too.
+    from repro.core.backends import spawn
+
+    libc = ctypes.CDLL(None)
+    libc.setenv.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int]
+    libc.setenv.restype = ctypes.c_int
+    libc.unsetenv.argtypes = [ctypes.c_char_p]
+    libc.unsetenv.restype = ctypes.c_int
+    # No exec context probed before the setenv, none kept after the unsetenv.
+    monkeypatch.setattr(spawn, "_exec_envs", {})
+    assert "ONLY_IN_C" not in os.environ
+    assert libc.setenv(b"ONLY_IN_C", b"1", 1) == 0
+    try:
+        summary = Parallel("{}").run(["env", "env #"])
+    finally:
+        libc.unsetenv(b"ONLY_IN_C")
+    by_command = {r.command: _env_of(r.stdout) for r in summary.results}
+    assert by_command["env #"].get("ONLY_IN_C") == "1"
+    assert by_command["env"].get("ONLY_IN_C") == "1"
 
 
 def test_jobs_still_run_when_the_directory_goes_mid_run(tmp_path, monkeypatch):

@@ -105,3 +105,19 @@ def test_emit_callback_receives_result_and_text():
     seen = []
     Parallel("echo {}", jobs=1, output=lambda r, t: seen.append((r.seq, t))).run(["q"])
     assert seen == [(1, "q\n")]
+
+
+def shout(x):
+    return x.upper()
+
+
+def test_fault_wrapper_keeps_the_callable_in_the_recorded_command():
+    from repro.core.backends.callable_backend import CallableBackend
+    from repro.faults import FaultPlan, FaultyBackend
+
+    bare = Parallel(shout).run(["a"])
+    wrapped = Parallel(
+        shout, backend=FaultyBackend(CallableBackend(shout), FaultPlan())
+    ).run(["a"])
+    assert bare.results[0].command == f"{shout!r}(a)"
+    assert wrapped.results[0].command == bare.results[0].command

@@ -20,6 +20,8 @@ from repro.analysis.profile import (
 from repro.core.options import Options
 from repro.obs import (
     CHROME_TRACE_SCHEMA,
+    ChromeTraceSink,
+    MetricsJsonlSink,
     attempt_intervals,
     intervals_from_trace,
     load_trace,
@@ -41,9 +43,9 @@ def traced_run(tmp_path_factory):
         "metrics": str(td / "run.metrics.jsonl"),
         "joblog": str(td / "run.joblog.tsv"),
     }
-    tracer = RunTracer.from_options(
-        Options(trace=paths["trace"], metrics=paths["metrics"],
-                metrics_interval=0.02)
+    tracer = RunTracer(
+        sinks=[ChromeTraceSink(paths["trace"]), MetricsJsonlSink(paths["metrics"])],
+        metrics_interval=0.02,
     )
     options = Options(
         jobs=4, retries=2, tracer=tracer, joblog=paths["joblog"],

@@ -10,7 +10,7 @@ from repro.core.job import Job, JobState
 from repro.core.joblog import read_joblog
 from repro.core.options import Options
 from repro.core.template import CommandTemplate
-from repro.faults import FaultPlan, FaultSpec, FaultyTransport
+from repro.faults import FaultPlan, FaultSpec, FaultyBackend, FaultyTransport
 from repro.obs import RunTracer
 from repro.remote import (
     LocalTransport,
@@ -198,6 +198,27 @@ class TestFaultWrapperPath:
             workdirs = {str(tmp_path / name / host) for host in ("h1", "h2")}
             assert {kw["cwd"] for kw in calls} <= workdirs, name
             assert all("launcher" not in kw for kw in calls), name
+
+    def test_wrapped_backend_reports_the_inner_staging(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        names = [f"in{i}.txt" for i in range(4)]
+        for name in names:
+            (tmp_path / name).write_text(name)
+        staging = {}
+        for name in ("bare", "wrapped"):
+            remote = make_backend(
+                self.ROSTER, template="cat {}",
+                transport=LocalTransport(root=str(tmp_path / name)),
+            )
+            backend = FaultyBackend(remote, FaultPlan()) if name == "wrapped" else remote
+            summary = Parallel(
+                "cat {}", jobs=1, sshlogin=[self.ROSTER], transfer_files=["{}"],
+                backend=backend,
+            ).run(names)
+            assert summary.ok, name
+            staging[name] = summary.staging
+        assert staging["bare"]["files_staged"] == 4
+        assert staging["wrapped"] == staging["bare"]
 
 
 class TestLocalhostStagingSkip:

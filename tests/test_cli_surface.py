@@ -33,7 +33,6 @@ LONG_OPTIONS = [
     "--max-replace-args",
     "--memfree",
     "--metrics",
-    "--metrics-interval",
     "--nice",
     "--pipe",
     "--quote",
@@ -67,4 +66,4 @@ def test_long_options_match_committed_list():
         and "--help" not in action.option_strings
     )
     assert found == LONG_OPTIONS
-    assert len(LONG_OPTIONS) == 45
+    assert len(LONG_OPTIONS) == 44
