@@ -25,13 +25,13 @@ overhead anatomy".
 
 ``--dispatchers N`` (N > 1) lifts dispatch onto the sharded
 :class:`~repro.core.backends.pool.DispatcherPool`: N worker processes
-each run a private launcher+reaper and the backend's ``run_job`` becomes
-a thin dispatch-and-wait over the shard pipe.  Result decoding, state
+each run their jobs through ``run_command`` (the ``fork_exec`` leg, in
+the run's ``--wd`` directory) and the backend's ``run_job`` becomes a
+thin dispatch-and-wait over the shard pipe.  Result decoding, state
 mapping and everything above (sequencer, joblog, retries, halt) stay in
 this process, so sharded output is byte-identical to ``--dispatchers 1``.
-Combinations the workers do not cover (``--wd``, ``--pipe``,
-``--linebuffer``, ``--spawn-path popen``, no ``posix_spawn``) resolve to
-a single in-process dispatcher, and a pool whose every shard has died
+``--pipe`` and ``--linebuffer``, which the workers do not cover, resolve
+to a single in-process dispatcher, and a pool whose every shard has died
 hands its jobs back to the in-process leg.
 """
 
@@ -41,7 +41,6 @@ import locale
 import os
 import shutil
 import tempfile
-import threading
 import time
 from typing import TYPE_CHECKING
 
@@ -78,12 +77,12 @@ class LocalShellBackend(Backend):
         self.shell = shell
         self.host = os.uname().nodename if hasattr(os, "uname") else "local"
         self._table = ProcessTable()
-        self._lock = threading.Lock()
         #: Per-run merged environment cache (``prepare_run``): copying
         #: ``os.environ`` per job is pure hot-path waste.  The Options the
         #: cache was built from is held by strong reference and compared
         #: with ``is`` — an id() key can collide after a collection.
         self._run_env: dict[str, str] | None = None
+        self._run_cwd: str | None = None
         self._run_opts: Options | None = None
         #: Lazily-created ``--wd ...`` per-run tempdir, removed in close().
         self._tmp_workdir: str | None = None
@@ -92,7 +91,7 @@ class LocalShellBackend(Backend):
         self._launcher: SpawnLauncher | None = None
         self._reapers = LiveReaper()
         #: Sharded dispatch state (``--dispatchers N``, N > 1): worker
-        #: processes each running a private launcher+reaper (see
+        #: processes each running their jobs through ``run_command`` (see
         #: ``repro.core.backends.pool``).
         self._pool: DispatcherPool | None = None
         self._encoding = locale.getpreferredencoding(False)
@@ -102,38 +101,35 @@ class LocalShellBackend(Backend):
 
     def prepare_run(self, options: Options) -> None:
         self._run_env = merged_env(options.env)
+        self._run_cwd = self._cwd_for(options)
         self._run_opts = options
         self._setup_spawn_path(options)
 
     def _setup_spawn_path(self, options: Options) -> None:
         """Decide the spawn path for this run and build its machinery."""
-        n_disp = options.effective_dispatchers()
-        # Only an explicit --spawn-path posix and the shard workers use
-        # the posix leg, so a default run never pays for the probe spawn.
-        posix = (
-            (options.spawn_path == "posix"
-             or (n_disp > 1 and options.spawn_path == "auto"))
-            and options.workdir is None  # posix_spawn has no cwd attribute
-            and not options.pipe_mode  # every job carries stdin
-            and not options.linebuffer  # stdout streams from the slot thread
-            and spawn_supported()
-        )
         if self._pool is not None:
             # A previous run's pool: dispatcher count or options changed,
             # or this run is unsharded — rebuild from scratch either way
-            # (worker env/shard count are baked in at start()).
+            # (worker env/cwd/shard count are baked in at start()).
             self._pool.close()
             self._pool = None
         if self._launcher is not None:
             self._launcher.close()
         # In-process jobs (and those a dead pool hands back) take the
-        # fork_exec leg unless the posix leg was asked for.
+        # fork_exec leg unless the posix leg was asked for; only such a
+        # run pays for the posix_spawn probe.
         self._launcher = (
             SpawnLauncher(self.shell, env=self._run_env)
-            if posix and options.spawn_path == "posix" else None
+            if (options.spawn_path == "posix"
+                and options.workdir is None  # posix_spawn has no cwd attribute
+                and not options.pipe_mode  # every job carries stdin
+                and not options.linebuffer  # stdout streams from the slot thread
+                and spawn_supported())
+            else None
         )
-        # Workers only have the posix_spawn leg.
-        if n_disp > 1 and posix:
+        n_disp = options.effective_dispatchers()
+        # Workers run whole jobs: no stdin to feed, no stream to a slot thread.
+        if n_disp > 1 and not options.pipe_mode and not options.linebuffer:
             from repro.core.backends.pool import DispatcherPool
 
             self._pool = DispatcherPool(
@@ -141,6 +137,7 @@ class LocalShellBackend(Backend):
                 shell=self.shell,
                 env=self._run_env,
                 nice=options.nice,
+                cwd=self._run_cwd,
                 on_event=self._pool_event,
                 batch=options.effective_rpc_batch(),
             )
@@ -190,7 +187,7 @@ class LocalShellBackend(Backend):
     @property
     def spawn_path(self) -> str:
         """The leg in-process jobs take this run (``"posix"``/``"popen"``);
-        dispatcher shards always spawn through posix_spawn."""
+        dispatcher shards always run ``run_command``'s fork_exec leg."""
         return "posix" if self._launcher is not None else "popen"
 
     @property
@@ -211,14 +208,13 @@ class LocalShellBackend(Backend):
         return self._run_env
 
     def _cwd_for(self, options: Options) -> str | None:
-        """Resolve ``--wd`` for this job; ``...`` = one shared per-run
-        tempdir (created lazily, removed in :meth:`close`)."""
+        """Resolve ``--wd`` for a run; ``...`` = one shared tempdir
+        (created on first use, removed in :meth:`close`)."""
         if options.workdir != TMPDIR_WORKDIR:
             return options.workdir
-        with self._lock:
-            if self._tmp_workdir is None:
-                self._tmp_workdir = tempfile.mkdtemp(prefix="repro-wd-")
-            return self._tmp_workdir
+        if self._tmp_workdir is None:
+            self._tmp_workdir = tempfile.mkdtemp(prefix="repro-wd-")
+        return self._tmp_workdir
 
     def run_job(
         self, job: Job, slot: int, options: Options, timeout: float | None = None
@@ -245,7 +241,7 @@ class LocalShellBackend(Backend):
                 reaper=self._reapers.get() if posix else None,
                 shell=self.shell,
                 env=self._run_env,
-                cwd=self._cwd_for(options),
+                cwd=self._run_cwd,
                 stdin=job.stdin_data,
                 timeout=timeout,
                 nice=options.nice,
@@ -310,7 +306,7 @@ class LocalShellBackend(Backend):
             # (lane 0 is the scheduler process itself).
             self._tracer.span(
                 "spawn", reply.start, reply.start + reply.spawn_dur,
-                seq=job.seq, slot=slot, path="posix", pid=reply.pid,
+                seq=job.seq, slot=slot, path="popen", pid=reply.pid,
                 shard=reply.shard, lane=reply.shard + 1,
                 lane_name=f"dispatcher {reply.shard}",
             )
@@ -349,17 +345,16 @@ class LocalShellBackend(Backend):
             self._pool.kill_all()
 
     def close(self) -> None:
-        with self._lock:
-            tmp, self._tmp_workdir = self._tmp_workdir, None
-        if tmp is not None:
-            shutil.rmtree(tmp, ignore_errors=True)
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
         self._reapers.close()
         if self._launcher is not None:
             self._launcher.close()
             self._launcher = None
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        tmp, self._tmp_workdir = self._tmp_workdir, None
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
 
     def _result(
         self,

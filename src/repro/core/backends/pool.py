@@ -16,18 +16,22 @@ Architecture (``--dispatchers N``)::
         LocalShellBackend.run_job            (merge stays centralized)
         │
         DispatcherPool ── least-loaded shard pick, failover re-queue
-        ├── shard 0: worker process  [SpawnLauncher + PipeReaper(pidfd)]
-        ├── shard 1: worker process  [SpawnLauncher + PipeReaper(pidfd)]
+        ├── shard 0: worker process  [run_command on job threads]
+        ├── shard 1: worker process  [run_command on job threads]
         └── shard k: ...
 
-    Each worker owns a private posix_spawn launcher and pidfd-driven
-    PipeReaper, so fork/exec + pipe collection run in N kernel task
-    contexts concurrently.  Results travel back over the shard's duplex
-    pipe and are delivered to the scheduler worker thread that submitted
-    the job — everything above ``run_job`` (``--keep-order`` sequencing,
-    ``--joblog`` rows, ``--tag`` prefixes, retries, ``--halt``) is the
-    *same code* as the single-dispatcher path, which is what makes the
-    cross-shard parity matrix byte-for-byte by construction.
+    Each worker runs every job it receives through
+    :func:`~repro.core.backends.spawn.run_command` — the same
+    ``fork_exec`` + ``poll`` call the in-process slot threads make, which
+    releases the GIL across vfork→exec — on a thread from a pool that
+    grows to the shard's peak number of jobs in flight, so fork/exec and
+    pipe collection run in N kernel task contexts concurrently.  Results
+    travel back over the shard's duplex pipe and are delivered to the
+    scheduler worker thread that submitted the job — everything above
+    ``run_job`` (``--keep-order`` sequencing, ``--joblog`` rows, ``--tag``
+    prefixes, retries, ``--halt``) is the *same code* as the
+    single-dispatcher path, which is what makes the cross-shard parity
+    matrix byte-for-byte by construction.
 
 Control-plane framing (the amortization layer):
 
@@ -43,11 +47,11 @@ Control-plane framing (the amortization layer):
     acquired — so while one thread's frame is on the wire, records from
     concurrent dispatches pile up and ride the next frame (Nagle-style
     coalescing with zero added latency: a lone job ships at once, a
-    burst amortizes automatically).  Workers batch result records the
-    same way on the return path.  Rare/complex payloads (``intern``,
-    ``kill_all``, ``close``, spawn errors) stay pickled: the first byte
-    of a message distinguishes a frame (``_MAGIC``) from a pickle (which
-    always starts with ``\\x80`` for protocol ≥ 2).
+    burst amortizes automatically).  Workers' job threads batch result
+    records the same way on the return path.  Rare/complex payloads
+    (``intern``, ``kill_all``, ``close``, spawn errors) stay pickled: the
+    first byte of a message distinguishes a frame (``_MAGIC``) from a
+    pickle (which always starts with ``\\x80`` for protocol ≥ 2).
 
     On top of framing, the pool supports run-start **template interning**:
     the backend sends each shard the command template *source* once, and
@@ -74,6 +78,7 @@ import itertools
 import multiprocessing
 import os
 import pickle
+import queue
 import signal
 import struct
 import threading
@@ -81,15 +86,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from repro.core.backends.spawn import (
-    REAPER_GONE,
-    LiveReaper,
-    SpawnLauncher,
-    kill_group,
-    set_nice,
-    spawn_supported,
-    wait_inline,
-)
+from repro.core.backends.spawn import ProcessTable, run_command
 
 __all__ = [
     "DispatcherPool",
@@ -230,9 +227,8 @@ _MAX_BATCH = 65535
 
 
 def pool_supported() -> bool:
-    """True where sharded dispatch can run: workers fork, and spawn only
-    through ``posix_spawn``."""
-    return spawn_supported()
+    """True where sharded dispatch can run: the workers are forked."""
+    return hasattr(os, "fork")
 
 
 @dataclass
@@ -312,12 +308,12 @@ class _Shard:
 class _ResultBatcher:
     """Worker-side mirror of the parent outbox: coalesce result records.
 
-    ``add`` is called from the reaper and main threads.  Flushing is gated
+    ``add`` is called from the worker's job threads.  Flushing is gated
     by the pipe rather than a timer: the caller appends its record and
     drains the buffer one frame per send, swapping records out only
-    after the send lock is held — completions that land while another
+    after the send lock is held — results that land while another
     thread's frame is on the wire ride the next frame.  A lone result
-    ships immediately; a reap burst amortizes into one write.
+    ships immediately; a burst of exits amortizes into one write.
     """
 
     def __init__(self, conn, send_lock: threading.Lock, batch: int):
@@ -327,17 +323,11 @@ class _ResultBatcher:
         self._records: "list[bytes]" = []
         self._lock = threading.Lock()
 
-    def add(self, record: bytes, defer: bool = False) -> None:
-        """Queue one record; ship unless the caller owns a later flush.
-
-        ``defer=True`` is the reaper-thread path: records accumulate
-        across one ``select()`` cycle and the reaper's ``on_batch_end``
-        hook flushes them as a single frame.
-        """
+    def add(self, record: bytes) -> None:
+        """Queue one record and ship it, with whatever else is queued."""
         with self._lock:
             self._records.append(record)
-        if not defer:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         while True:
@@ -356,118 +346,154 @@ class _ResultBatcher:
 # --------------------------------------------------------------------------
 # Worker process
 # --------------------------------------------------------------------------
+class _Worker:
+    """One dispatcher worker's jobs: each runs through ``run_command`` on
+    a thread of a pool that grows to the shard's peak number of jobs in
+    flight and reuses its threads.
+
+    Every job gets its own :class:`ProcessTable`, registered under its
+    token on the main thread when its spawn record arrives, before it is
+    queued.  A kill (per token, ``kill_all``, or a kill frame that
+    overtook its spawn record, held in ``early_kills``) cancels the table,
+    so a job that is queued but not started is killed by
+    ``ProcessTable.add`` the moment it is spawned.
+    """
+
+    def __init__(self, conn, shell: str, env: "dict[str, str] | None",
+                 cwd: "str | None", nice: "int | None", batch: int):
+        self.conn = conn
+        self.shell, self.env, self.cwd, self.nice = shell, env, cwd, nice
+        self.send_lock = threading.Lock()
+        self.batcher = _ResultBatcher(conn, self.send_lock, batch)
+        #: Interned command template: (CommandTemplate, quote flag).  Set
+        #: by the pickled ("intern", source, quote) op; spawn records
+        #: flagged _F_INTERNED then carry only the argument tuple.
+        self.interned = None
+        self.lock = threading.Lock()
+        #: Guarded by ``lock``: token -> table from arrival to result;
+        #: kill tokens that raced ahead of their spawn record (one parent
+        #: thread's kill frame can reach the pipe before another thread's
+        #: spawn frame); how many pool threads wait for a job.
+        self.tables: dict[int, ProcessTable] = {}
+        self.early_kills: set[int] = set()
+        self.idle = 0
+        self.jobs: "queue.SimpleQueue[tuple | None]" = queue.SimpleQueue()
+        self.threads: list[threading.Thread] = []
+        self.closing = False
+
+    def post(self, msg: tuple) -> None:
+        with self.send_lock:
+            try:
+                self.conn.send(msg)
+            except (OSError, ValueError, BrokenPipeError):
+                pass  # parent is gone; the recv EOF path will exit us
+
+    def intern(self, source: str, quote: bool) -> None:
+        from repro.core.template import CommandTemplate
+
+        try:
+            self.interned = (CommandTemplate(source), quote)
+        except Exception:
+            self.interned = None  # parent falls back to raw commands
+
+    def receive(self, token: int, seq: int, slot: int,
+                command: "str | None", args) -> None:
+        """Main thread: render the job, register its table, queue it."""
+        if command is None:
+            if self.interned is None:
+                self.post(("err", token, b"spawn frame references no "
+                                         b"interned template"))
+                return
+            template, quote = self.interned
+            try:
+                command = template.render(args, seq=seq, slot=slot, quote=quote)
+            except Exception as exc:
+                self.post(("err", token, f"render failed: {exc}".encode()))
+                return
+        table = ProcessTable()
+        with self.lock:
+            self.tables[token] = table
+            if token in self.early_kills:
+                self.early_kills.discard(token)
+                table.cancelled.set()
+            spare = self.idle > 0
+            if spare:
+                self.idle -= 1  # that thread's next get() takes this job
+        self.jobs.put((token, command, table))
+        if not spare:
+            thread = threading.Thread(target=self.serve, daemon=True,
+                                      name="repro-shard-job")
+            self.threads.append(thread)
+            thread.start()
+
+    def serve(self) -> None:
+        """Pool thread: run queued jobs until shutdown."""
+        while True:
+            job = self.jobs.get()
+            if job is None or self.closing:
+                return
+            self.run(*job)
+            with self.lock:
+                self.idle += 1
+
+    def run(self, token: int, command: str, table: ProcessTable) -> None:
+        try:
+            done = run_command(command, table=table, shell=self.shell,
+                               env=self.env, cwd=self.cwd, nice=self.nice)
+        except Exception as exc:  # the token must be answered either way
+            self.post(("err", token, f"spawn failed: {exc}".encode()))
+            return
+        finally:
+            with self.lock:
+                self.tables.pop(token, None)
+        self.batcher.add(pack_result_record(
+            token, done.returncode, done.stdout, done.stderr, done.start,
+            done.end, done.spawned - done.start, done.pid,
+        ))
+
+    def kill(self, token: int) -> None:
+        with self.lock:
+            table = self.tables.get(token)
+            if table is None:
+                self.early_kills.add(token)
+        if table is not None:
+            table.kill_all()
+
+    def kill_all(self) -> None:
+        with self.lock:
+            tables = list(self.tables.values())
+        for table in tables:
+            table.kill_all()
+
+    def shutdown(self) -> None:
+        """Kill every job, drop the queued ones, and give the pool threads
+        up to 2 s to reap what they started."""
+        self.closing = True
+        self.kill_all()
+        for _ in self.threads:
+            self.jobs.put(None)
+        deadline = time.monotonic() + 2.0
+        for thread in self.threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        self.batcher.flush()
+
+
 def _worker_main(
     conn,
-    shard_index: int,
     shell: str,
     env: "dict[str, str] | None",
+    cwd: "str | None",
     nice: "int | None",
     batch: int = 1,
 ) -> None:
-    """One dispatcher worker: spawn loop + private reaper, results by pipe.
+    """One dispatcher worker: read frames, run jobs, results by pipe.
 
     Runs until the parent sends ``("close",)`` or its end of the pipe
     disappears (parent death) — then kills every job it still owns and
     exits via ``os._exit`` so inherited buffers never double-flush.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns ^C policy
-
-    send_lock = threading.Lock()
-
-    def post(msg: tuple) -> None:
-        with send_lock:
-            try:
-                conn.send(msg)
-            except (OSError, ValueError, BrokenPipeError):
-                pass  # parent is gone; the EOF path below will exit us
-
-    batcher = _ResultBatcher(conn, send_lock, batch)
-    #: With batch > 1, results collected by the reaper defer their flush
-    #: to its per-select()-cycle batch boundary: completions that queued
-    #: while this worker waited for CPU ride one frame (and one parent
-    #: wakeup) instead of one write each.
-    defer_results = batch > 1
-
-    launcher = SpawnLauncher(shell, env=env)
-    reapers = LiveReaper(on_batch_end=batcher.flush if defer_results else None)
-
-    #: Interned command template: (CommandTemplate, quote flag).  Set by
-    #: the pickled ("intern", source, quote) op; spawn records flagged
-    #: _F_INTERNED then carry only the argument tuple.
-    interned = None
-
-    procs: dict[int, int] = {}      # token -> job pgid
-    #: Kill tokens that raced ahead of their spawn record (a parent-side
-    #: flusher may ship the kill frame before another thread's spawn
-    #: frame hits the pipe); the spawn path delivers the kill on arrival.
-    early_kills: set[int] = set()
-    procs_lock = threading.Lock()
-
-    def finish(token: int, rc: int, out: bytes, err: bytes,
-               start: float, end: float, spawn_dur: float, pid: int,
-               defer: bool = False) -> None:
-        with procs_lock:
-            procs.pop(token, None)
-        batcher.add(pack_result_record(
-            token, rc, out, err, start, end, spawn_dur, pid
-        ), defer=defer)
-
-    def spawn(token: int, seq: int, slot: int,
-              command: "str | None", args) -> None:
-        if command is None:
-            if interned is None:
-                post(("err", token, b"spawn frame references no interned "
-                                    b"template"))
-                return
-            template, quote = interned
-            try:
-                command = template.render(args, seq=seq, slot=slot, quote=quote)
-            except Exception as exc:
-                post(("err", token, f"render failed: {exc}".encode()))
-                return
-        # The asynchronous twin of run_command's posix_spawn leg: the
-        # reaper's on_done posts the result, so no thread waits per job.
-        start = time.time()
-        try:
-            pid, out_r, err_r = launcher.spawn(command)
-        except OSError as exc:
-            post(("err", token, f"spawn failed: {exc}".encode()))
-            return
-        spawn_dur = time.time() - start
-        set_nice(pid, nice)
-        with procs_lock:
-            procs[token] = pid
-            killed_early = token in early_kills
-            early_kills.discard(token)
-        if killed_early:
-            kill_group(pid)
-
-        def on_done(handle, _token=token, _start=start,
-                    _spawn_dur=spawn_dur, _pid=pid) -> None:
-            finish(_token, handle.returncode, bytes(handle.stdout_buf),
-                   bytes(handle.stderr_buf), _start, time.time(),
-                   _spawn_dur, _pid, defer=defer_results)
-
-        try:
-            reapers.get().register(pid, out_r, err_r, on_done=on_done)
-        except RuntimeError:
-            finish(token, wait_inline(pid, out_r, err_r), b"", REAPER_GONE,
-                   start, time.time(), spawn_dur, pid)
-
-    def kill_token(token: int) -> None:
-        with procs_lock:
-            pid = procs.get(token)
-            if pid is None:
-                early_kills.add(token)
-        if pid is not None:
-            kill_group(pid)
-
-    def kill_all() -> None:
-        with procs_lock:
-            pids = list(procs.values())
-        for pid in pids:
-            kill_group(pid)
-
+    worker = _Worker(conn, shell, env, cwd, nice, batch)
     try:
         while True:
             try:
@@ -475,36 +501,23 @@ def _worker_main(
             except (EOFError, OSError):
                 break  # parent gone
             if buf and buf[0] == FRAME_MAGIC:
-                kind = buf[1]
-                if kind == FK_SPAWN:
-                    for token, seq, slot, command, args in iter_spawn_records(buf):
-                        spawn(token, seq, slot, command, args)
-                elif kind == FK_KILL:
-                    off = _HEADER.size
-                    while off < len(buf):
-                        (token,) = _KILL_REC.unpack_from(buf, off)
-                        off += _KILL_REC.size
-                        kill_token(token)
+                if buf[1] == FK_SPAWN:
+                    for record in iter_spawn_records(buf):
+                        worker.receive(*record)
+                elif buf[1] == FK_KILL:
+                    for (token,) in _KILL_REC.iter_unpack(buf[_HEADER.size:]):
+                        worker.kill(token)
                 continue
             # Pickle fallback lane: rare/complex ops.
             msg = pickle.loads(buf)
-            op = msg[0]
-            if op == "intern":
-                from repro.core.template import CommandTemplate
-
-                try:
-                    interned = (CommandTemplate(msg[1]), msg[2])
-                except Exception:
-                    interned = None  # parent falls back to raw commands
-            elif op == "kill_all":
-                kill_all()
-            elif op == "close":
+            if msg[0] == "intern":
+                worker.intern(msg[1], msg[2])
+            elif msg[0] == "kill_all":
+                worker.kill_all()
+            elif msg[0] == "close":
                 break
     finally:
-        kill_all()
-        batcher.flush()
-        reapers.close()
-        launcher.close()
+        worker.shutdown()
         try:
             conn.close()
         except OSError:
@@ -536,6 +549,7 @@ class DispatcherPool:
         shell: str = "/bin/sh",
         env: "dict[str, str] | None" = None,
         nice: "int | None" = None,
+        cwd: "str | None" = None,
         on_event: "Callable[[str, int, int], None] | None" = None,
         batch: int = 1,
     ):
@@ -545,6 +559,7 @@ class DispatcherPool:
         self.shell = shell
         self.env = env
         self.nice = nice
+        self.cwd = cwd
         #: Optional ``(event_name, shard_index, n)`` hook; the backend
         #: wires it to the tracer (``dispatcher_death`` instants with the
         #: re-queued job count, ``rpc_frame`` instants with the frame's
@@ -580,7 +595,7 @@ class DispatcherPool:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, k, self.shell, self.env, self.nice,
+                args=(child_conn, self.shell, self.env, self.cwd, self.nice,
                       self.batch),
                 name=f"repro-dispatcher-{k}",
                 daemon=True,

@@ -39,7 +39,7 @@ import collections
 import os
 import selectors
 import threading
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = ["PipeReaper", "ReapHandle", "pidfd_supported"]
 
@@ -73,14 +73,10 @@ class ReapHandle:
 
     __slots__ = (
         "pid", "stdout_buf", "stderr_buf", "returncode",
-        "_event", "_open_fds", "_pidfd", "_status", "_on_done",
+        "_event", "_open_fds", "_pidfd", "_status",
     )
 
-    def __init__(
-        self,
-        pid: int,
-        on_done: Optional[Callable[["ReapHandle"], None]] = None,
-    ):
+    def __init__(self, pid: int):
         self.pid = pid
         self.stdout_buf = bytearray()
         self.stderr_buf = bytearray()
@@ -95,7 +91,6 @@ class ReapHandle:
         #: Exit status collected ahead of pipe EOF (pidfd leg); completion
         #: still waits for both pipes to close.
         self._status: Optional[int] = None
-        self._on_done = on_done
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job is fully collected; False on timeout."""
@@ -109,11 +104,6 @@ class ReapHandle:
     def _finish(self, returncode: int) -> None:
         self.returncode = returncode
         self._event.set()
-        if self._on_done is not None:
-            try:
-                self._on_done(self)
-            except Exception:
-                pass  # a broken callback must not kill the loop
 
 
 class PipeReaper:
@@ -126,22 +116,9 @@ class PipeReaper:
 
     ``use_pidfd`` selects the exit-collection leg: None (default) probes
     on first registration, False forces the waitpid-polling fallback.
-
-    ``on_batch_end`` (optional) is invoked from the reaper thread after
-    any ``select()`` cycle that completed at least one handle — a batch
-    boundary for callers that coalesce per-handle ``on_done`` output
-    (dispatcher workers flush one result *frame* per cycle instead of
-    one write per exit, so completions that queued up while the worker
-    waited for CPU amortize into a single parent wakeup).
     """
 
-    def __init__(
-        self,
-        use_pidfd: Optional[bool] = None,
-        on_batch_end: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self._on_batch_end = on_batch_end
-        self._batch_dirty = False
+    def __init__(self, use_pidfd: Optional[bool] = None) -> None:
         self._sel = selectors.DefaultSelector()
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
@@ -165,20 +142,9 @@ class PipeReaper:
         """True once the reaper has successfully opened a pidfd."""
         return self._use_pidfd is True
 
-    def register(
-        self,
-        pid: int,
-        stdout_fd: int,
-        stderr_fd: int,
-        on_done: Optional[Callable[[ReapHandle], None]] = None,
-    ) -> ReapHandle:
-        """Hand a spawned job's pipes to the loop; returns its handle.
-
-        ``on_done`` (optional) is invoked from the reaper thread right
-        after the handle completes — dispatcher workers use it to post
-        results without parking a thread per job on ``wait()``.
-        """
-        handle = ReapHandle(pid, on_done=on_done)
+    def register(self, pid: int, stdout_fd: int, stderr_fd: int) -> ReapHandle:
+        """Hand a spawned job's pipes to the loop; returns its handle."""
+        handle = ReapHandle(pid)
         with self._lock:
             if self._closed or not self.alive:
                 raise RuntimeError("reaper is closed")
@@ -271,12 +237,6 @@ class PipeReaper:
                         self._zombies.append(handle)  # waitpid fallback leg
                     # else: pidfd registered; its event delivers the status
             self._collect_zombies()
-            if self._batch_dirty:
-                self._batch_dirty = False
-                try:
-                    self._on_batch_end()  # type: ignore[misc]
-                except Exception:
-                    pass  # a broken sink must not kill the loop
 
     def _admit_pending(self) -> None:
         while True:
@@ -333,8 +293,6 @@ class PipeReaper:
             self._handles.discard(handle)
         status = handle._status if handle._status is not None else 0
         handle._finish(status)
-        if self._on_batch_end is not None:
-            self._batch_dirty = True
 
     def _collect_zombies(self) -> None:
         if not self._zombies:
@@ -369,13 +327,6 @@ class PipeReaper:
         for handle in outstanding:
             if not handle.done:
                 handle._finish(127)
-        if self._on_batch_end is not None:
-            # Ship anything the on_done callbacks deferred: there will be
-            # no further batch boundary after the loop exits.
-            try:
-                self._on_batch_end()
-            except Exception:
-                pass
         try:
             self._sel.unregister(self._wake_r)
         except (KeyError, ValueError):

@@ -19,8 +19,8 @@ Two ways to start a job, measured on CPython 3.11:
     with one ``poll`` loop (:func:`_collect`), which also hands stdout on
     at each newline for ``--linebuffer``, then reaps the job with
     ``os.waitpid``.  The default for in-process jobs, and the leg for
-    ``LocalTransport``; ``--spawn-path popen`` and the ``popen`` span
-    label still name it.
+    dispatcher shard workers and ``LocalTransport``; ``--spawn-path
+    popen`` and the ``popen`` span label still name it.
 
 :class:`SpawnLauncher`
     One ``os.posix_spawn`` call per job with ``POSIX_SPAWN_SETSID`` for
@@ -29,8 +29,7 @@ Two ways to start a job, measured on CPython 3.11:
     :class:`~repro.core.backends.reaper.PipeReaper`.  ``os.posix_spawn``
     holds the GIL for its whole vfork→exec: a spinning Python thread
     stalls once per call, for the call's length, so slot threads
-    spawning this way queue behind each other.  It has two callers: the
-    dispatcher shard workers, which spawn from one thread each, and an
+    spawning this way queue behind each other.  Its one caller is an
     explicit ``--spawn-path posix``.
 
 :func:`run_command` picks between the two from its inputs and adds the
@@ -241,7 +240,7 @@ class SpawnLauncher:
     """Spawns jobs with pre-built argv/env vectors: a plain command
     through ``posix_spawnp``, anything else as ``shell -c command``.
 
-    One instance serves one run (or one shard worker): the argv prefix,
+    One instance serves one run: the argv prefix,
     the environment and the shared ``/dev/null`` stdin fd are all
     computed once, so the per-job work is two ``pipe()`` calls and one
     spawn.  Thread-safe — worker threads spawn concurrently.

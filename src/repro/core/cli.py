@@ -102,14 +102,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="stream each job's output line-by-line as it is "
                         "produced (lines from different jobs may interleave)")
     # Engine extension: which process-spawn implementation the local
-    # backend uses (posix_spawn + pipe reaper vs. Popen's fork_exec).
+    # backend uses in-process (posix_spawn + pipe reaper vs. Popen's
+    # fork_exec); --dispatchers shards always take fork_exec.
     p.add_argument("--spawn-path", default="auto", dest="spawn_path",
                    choices=("auto", "posix", "popen"),
-                   help="local process-spawn path: auto (default; fork_exec "
-                        "in-process, posix_spawn in --dispatchers shards), "
-                        "posix (posix_spawn in-process too, except for "
-                        "--wd, --pipe and --linebuffer), or popen (popen "
-                        "runs one dispatcher)")
+                   help="in-process spawn path: auto or popen (default; "
+                        "fork_exec), or posix (posix_spawn, except for "
+                        "--wd, --pipe and --linebuffer); --dispatchers "
+                        "shards always use fork_exec")
     # Engine extension: shard the local dispatch loop over N spawner
     # worker processes (lifts the single-dispatcher launch-rate ceiling).
     p.add_argument("--dispatchers", default="auto", dest="dispatchers",

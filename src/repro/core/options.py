@@ -228,14 +228,12 @@ class Options:
     link: bool = False
     #: Working directory for jobs (``--wd``).
     workdir: Optional[str] = None
-    #: Process-spawn path for the local backend (``--spawn-path``):
-    #: ``"auto"`` (in-process jobs on ``fork_exec``, Popen's primitive,
+    #: In-process spawn path for the local backend (``--spawn-path``):
+    #: ``"auto"`` and ``"popen"`` (``fork_exec``, Popen's primitive,
     #: which releases the GIL across vfork→exec where ``posix_spawn``
-    #: holds it; posix_spawn + reaper only in ``--dispatchers`` shards),
-    #: ``"posix"`` (posix_spawn + reaper in-process too; ``--wd``,
-    #: ``--pipe`` and ``--linebuffer`` still take ``fork_exec``),
-    #: ``"popen"`` (always ``fork_exec``, and one in-process dispatcher
-    #: whatever ``--dispatchers`` says).
+    #: holds it), ``"posix"`` (posix_spawn + reaper; ``--wd``,
+    #: ``--pipe`` and ``--linebuffer`` still take ``fork_exec``).
+    #: ``--dispatchers`` shards always take ``fork_exec``.
     spawn_path: str = "auto"
     #: Dispatcher shard count for the local backend (``--dispatchers``):
     #: ``"auto"`` (single in-process dispatcher — sharding is opt-in) or

@@ -11,7 +11,6 @@ of them.
 import errno
 import os
 import platform
-import time
 
 import pytest
 
@@ -165,40 +164,3 @@ def test_forced_fallback_matches_pidfd_results(launcher):
         forced.close()
         auto.close()
 
-
-def test_on_done_callback_fires_after_completion(launcher):
-    done = []
-    reaper = PipeReaper()
-    try:
-        pid, out_r, err_r = launcher.spawn("echo cb")
-        handle = reaper.register(
-            pid, out_r, err_r,
-            on_done=lambda h: done.append((h.done, h.returncode)),
-        )
-        assert handle.wait(10)
-        deadline = time.time() + 2.0
-        while not done and time.time() < deadline:
-            time.sleep(0.005)
-        # The callback runs after the event is set, with the status final.
-        assert done == [(True, 0)]
-    finally:
-        reaper.close()
-
-
-def test_broken_on_done_callback_does_not_kill_loop(launcher):
-    def boom(_handle):
-        raise RuntimeError("sink bug")
-
-    reaper = PipeReaper()
-    try:
-        pid, out_r, err_r = launcher.spawn("echo x")
-        handle = reaper.register(pid, out_r, err_r, on_done=boom)
-        assert handle.wait(10)
-        # The loop survived the callback's exception and still collects.
-        pid, out_r, err_r = launcher.spawn("echo y")
-        again = reaper.register(pid, out_r, err_r)
-        assert again.wait(10)
-        assert bytes(again.stdout_buf) == b"y\n"
-        assert reaper.alive
-    finally:
-        reaper.close()

@@ -1,10 +1,9 @@
 """``run_command``: the one subprocess runner, its legs and its helpers.
 
-Every caller (local backend, remote transport) reaches a subprocess
-through ``run_command``; shard workers share its launcher, reaper rule
-and kill/nice helpers.  The legs must agree byte for byte, and the one
-dead-reaper rule — a fresh ``PipeReaper`` for the next job — is forced
-here on each of the two reaper owners.  A plain command runs without
+Every caller (local backend, shard workers, remote transport) reaches
+a subprocess through ``run_command``.  The legs must agree byte for
+byte, and the one dead-reaper rule — a fresh ``PipeReaper`` for the
+next job — is forced here on the reaper's one owner, the local backend.  A plain command runs without
 the shell on every leg, and must see the environment and the failure
 reports the shell would have given it.
 """
@@ -24,7 +23,6 @@ import pytest
 
 from repro import Parallel
 from repro.core.backends import spawn
-from repro.core.backends.pool import DispatcherPool
 from repro.core.backends.reaper import PipeReaper
 from repro.core.backends.spawn import (
     REAPER_GONE,
@@ -359,23 +357,6 @@ def test_dead_reaper_local_backend(monkeypatch):
     assert by_seq[3].stderr == REAPER_GONE.decode()
     for seq in (1, 2, 4, 5, 6):
         assert (by_seq[seq].exit_code, by_seq[seq].stdout) == (0, f"out-{seq}\n")
-
-
-def test_dead_reaper_dispatcher_worker(monkeypatch):
-    # The worker forks after the patch, so its reaper inherits it.
-    _close_on_register(monkeypatch, 3)
-    pool = DispatcherPool(1)
-    pool.start()
-    try:
-        replies = {i: pool.run(QUIET_THIRD.replace("{}", str(i)))
-                   for i in range(1, 7)}
-    finally:
-        pool.close()
-    assert replies[3].stderr == REAPER_GONE
-    for i in (1, 2, 4, 5, 6):
-        assert (replies[i].kind, replies[i].returncode, replies[i].stdout) == (
-            "done", 0, f"out-{i}\n".encode(),
-        )
 
 
 # -------------------------------------------- plain commands skip the shell

@@ -1,8 +1,8 @@
 """Spawn-path parity: posix and popen must be byte-for-byte identical.
 
-In-process jobs run on Popen by default; the posix_spawn + pipe reaper
-leg (see ``repro.core.backends.spawn``) serves ``--spawn-path posix``
-and the dispatcher shards.  Every user-visible behaviour (``--keep-order``
+In-process jobs and the dispatcher shards run on the fork_exec ("popen")
+leg by default; the posix_spawn + pipe reaper leg (see
+``repro.core.backends.spawn``) serves only ``--spawn-path posix``.  Every user-visible behaviour (``--keep-order``
 ordering, ``--tag`` prefixes, exit codes, stderr routing, timeout kills)
 must match between the two exactly.  These tests run the same workload
 through both paths and diff the collected output.
@@ -32,8 +32,8 @@ PATHS = ("posix", "popen")
 #: Shard counts for the cross-shard parity matrix (1 = the baseline
 #: in-process dispatcher every other cell must match byte-for-byte).
 DISPATCHERS = (1, 2, 4)
-#: "auto" diffs the pool against the in-process Popen leg, "posix"
-#: against the in-process reaper leg; "popen" runs one dispatcher.
+#: The pool runs on every path; its cells are diffed against the
+#: in-process leg the path pins ("posix": the reaper leg, else Popen).
 MATRIX_PATHS = ("auto", "popen", "posix")
 
 
@@ -71,8 +71,9 @@ def test_spawn_path_routing_matrix():
 
 
 def test_only_posix_leg_users_probe_posix_spawn(monkeypatch):
-    # spawn_supported() makes a real spawn; only --spawn-path posix and
-    # --dispatchers N can use its answer, so no other run may pay for it.
+    # spawn_supported() makes a real spawn; only --spawn-path posix can
+    # use its answer, so no other run may pay for it — a sharded one
+    # included, since the shard workers launch through fork_exec.
     def probe():
         raise AssertionError("spawn_supported() was called")
 
@@ -82,6 +83,8 @@ def test_only_posix_leg_users_probe_posix_spawn(monkeypatch):
         ("echo {}", ["a", "b"], {"workdir": "."}),
         ("cat", ["a\n", "b\n"], {"pipe_mode": True}),
         ("echo {}", ["a", "b"], {"linebuffer": True}),
+        ("echo {}", ["a", "b"], {"dispatchers": 2}),
+        ("echo {}", ["a", "b"], {"dispatchers": 2, "workdir": "."}),
     ]:
         summary, text = run_collect(command, inputs, jobs=2, keep_order=True,
                                     **flags)
@@ -341,17 +344,18 @@ def test_dispatchers_resolution_matrix():
         backend.prepare_run(Options(dispatchers=2, spawn_path="posix"))
         assert backend.dispatchers == 2
         assert backend.spawn_path == "posix"
-        # The workers only spawn through posix_spawn: popen means one
-        # in-process dispatcher.
-        backend.prepare_run(Options(dispatchers=2, spawn_path="popen"))
-        assert backend.dispatchers == 1
-        assert backend.spawn_path == "popen"
+        # The workers run whole jobs through run_command's fork_exec
+        # leg, in the run's --wd directory: popen and --wd keep the pool.
+        for sharded in (Options(dispatchers=2, spawn_path="popen"),
+                        Options(dispatchers=2, workdir=".")):
+            backend.prepare_run(sharded)
+            assert backend.dispatchers == 2
+            assert backend.spawn_path == "popen"
         # auto = one in-process dispatcher (sharding is opt-in)...
         backend.prepare_run(Options(dispatchers="auto"))
         assert backend.dispatchers == 1
-        # ...and unsupported combinations resolve back to one.
+        # ...and jobs that need their slot thread resolve back to one.
         for unsupported in (
-            Options(dispatchers=2, workdir="."),
             Options(dispatchers=2, linebuffer=True),
             Options(dispatchers=2, pipe_mode=True),
         ):
@@ -359,3 +363,14 @@ def test_dispatchers_resolution_matrix():
             assert backend.dispatchers == 1
     finally:
         backend.close()
+
+
+def test_sharded_run_honours_workdir(tmp_path):
+    # --wd is resolved once per run and handed to every shard worker.
+    workdir = str(tmp_path.resolve())
+    summary, text = run_collect("pwd", range(6), jobs=4, dispatchers=2,
+                                workdir=workdir)
+    assert summary.ok and summary.rpc, "the run was not sharded"
+    assert text.splitlines() == [workdir] * 6
+    unsharded, text = run_collect("pwd", range(2), workdir=workdir)
+    assert unsharded.rpc == {} and text.splitlines() == [workdir] * 2

@@ -1,8 +1,9 @@
 """Plain-Python smoke run of every ``run_command`` leg; needs no pytest.
 
 ``run_command`` launches through ``_posixsubprocess.fork_exec``, whose
-argument list differs between CPython versions, so run this under each
-interpreter the package supports::
+argument list differs between CPython versions, in this process and in
+forked dispatcher shard workers, so run this under each interpreter the
+package supports::
 
     PYTHONPATH=src python3.10 tests/spawn_smoke.py
 
@@ -15,7 +16,9 @@ import errno
 import os
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
+from repro.core.backends.pool import DispatcherPool
 from repro.core.backends.spawn import (
     LiveReaper,
     ProcessTable,
@@ -69,11 +72,25 @@ def main() -> int:
             ok = got == expected
             failed += not ok
             print(f"{'ok' if ok else 'FAIL':4} {name:12} {got!r}")
+        # Two forked shard workers run the same leg from their job threads.
+        pool = DispatcherPool(2, cwd=workdir)
+        pool.start()
+        try:
+            with ThreadPoolExecutor(4) as threads:
+                replies = list(threads.map(pool.run, [MIXED, "pwd"] * 2))
+        finally:
+            pool.close()
+        got = [(r.kind, r.returncode, r.stdout, r.stderr) for r in replies]
+        ok = got == [("done", 3, b"out\n", b"err\n"),
+                     ("done", 0, f"{workdir}\n".encode(), b"")] * 2
+        failed += not ok
+        print(f"{'ok' if ok else 'FAIL':4} {'two shards':12} {got!r}")
     finally:
         reapers.close()
         launcher.close()
         os.rmdir(workdir)
-    print(f"{sys.version.split()[0]}: {len(cases) - failed}/{len(cases)} ok")
+    total = len(cases) + 1
+    print(f"{sys.version.split()[0]}: {total - failed}/{total} ok")
     return 1 if failed else 0
 
 

@@ -1,17 +1,18 @@
 """Process spawning lives in one module: ``core/backends/spawn.py``.
 
-Every layer that runs a subprocess goes through its ``run_command`` (or,
-for the shard workers, its launcher and helpers).  A second copy of
-spawn → collect → timeout → kill would grow its own kill-by-group, cancel
-race and ``--nice`` handling, so the calls that start or signal a job
+Every layer that runs a subprocess — the local backend, the dispatcher
+shard workers, the remote transport — goes through its ``run_command``.
+A second copy of spawn → collect → timeout → kill would grow its own
+kill-by-group, cancel race and ``--nice`` handling, so the calls that
+start or signal a job
 may appear nowhere else under ``src/``.  ``run_command`` launches through
 ``fork_exec`` itself, so the ``subprocess.Popen`` wrapper appears nowhere
 at all.
 
 The posix_spawn leg (``SpawnLauncher`` + ``LiveReaper``) is built only
-by its two remaining callers — the local backend under ``--spawn-path
-posix`` and the dispatcher shard workers — so no new caller can grow
-back onto it.
+by its one remaining caller, the local backend under ``--spawn-path
+posix`` (``spawn.py`` defines it), so no new caller — the shard workers
+included — can grow back onto it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ CALLS = ("fork_exec(", "os.posix_spawn(", "os.posix_spawnp(", "os.killpg(",
          "os.setpriority(")
 WRAPPER = ("subprocess.Popen(",)
 POSIX_LEG = ("SpawnLauncher(", "LiveReaper(")
-POSIX_LEG_HOMES = {BACKENDS / name for name in ("spawn.py", "local.py", "pool.py")}
+POSIX_LEG_HOMES = {BACKENDS / name for name in ("spawn.py", "local.py")}
 
 
 def _offenders(calls, allowed):
@@ -55,6 +56,6 @@ def test_posix_leg_built_only_by_its_callers():
     assert all(path.is_file() for path in POSIX_LEG_HOMES)
     offenders = _offenders(POSIX_LEG, POSIX_LEG_HOMES)
     assert not offenders, (
-        "posix_spawn leg built outside core/backends/{spawn,local,pool}.py:\n"
+        "posix_spawn leg built outside core/backends/{spawn,local}.py:\n"
         + "\n".join(offenders)
     )
